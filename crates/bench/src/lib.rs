@@ -22,8 +22,10 @@
 //! | `ext_fault_tolerance` | policy degradation under site crashes + msg loss |
 //! | `fit_l_matrices` | recovers the scan-garbled Table 5/6 load matrices |
 //! | `perf_mva` | analytic fast path vs naive MVA (bitwise gate + timing) |
-//! | `perf_scaling` | parallel experiment-executor scaling |
 //! | `verify_claims` | one-command PASS/FAIL check of every headline claim |
+//!
+//! The simulator's own costs, end to end and layer by layer, are priced by
+//! `perf_ledger`, a package of its own in `src/bin/perf_ledger/`.
 //!
 //! Every binary prints the paper's reference values next to the measured
 //! ones. Set `DQA_QUICK=1` to cut replication counts and windows (used by

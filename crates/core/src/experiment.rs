@@ -258,8 +258,11 @@ pub fn run(config: &RunConfig) -> Result<RunReport, ParamsError> {
 /// Runs one simulation under the conservative parallel executor
 /// ([`crate::model::shard`]): same build/warmup/measure/summarize
 /// schedule as [`run`], but LP windows drain across `jobs` worker
-/// threads. The report is byte-identical to [`run`]'s on the same
-/// configuration and seed.
+/// threads. Events at one instant run in the order they were scheduled,
+/// as in [`run`], so the report is byte-identical to [`run`]'s on the
+/// same configuration and seed; two different sites' per-site events at
+/// one instant are the exception, ordered by site (see
+/// [`crate::model::shard`]).
 ///
 /// # Errors
 ///

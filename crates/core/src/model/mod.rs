@@ -23,10 +23,15 @@
 //!   scripted actions, deadline expiries, result retransmissions) run on
 //!   [`DbSystem`] with full access to every LP.
 //!
-//! The serial executor interleaves both kinds in timestamp order and
-//! flushes each LP's obs/outbox immediately after every event, so its
-//! trajectories are exactly what the windowed parallel executor
-//! ([`shard`]) reproduces barrier by barrier.
+//! There is one set of lifecycle handlers. Each step a query takes at a
+//! site — placement, execution, a retry, loss or shedding, completion, a
+//! hedge reap, and the closed terminal's think-then-submit — is a single
+//! `Lp` method. A global transition calls it on the LP that holds the
+//! query's record (the home LP for the terminal step) and applies that
+//! LP's `Obs` log and outbox right after the call, just as the serial
+//! executor does after every LP event. Board, metric and ring writes
+//! therefore happen in one order, and the windowed parallel executor
+//! ([`shard`]) reproduces it barrier by barrier.
 
 mod events;
 mod obs;
@@ -151,11 +156,12 @@ struct LpSuspicion {
     suspected: Vec<bool>,
 }
 
-/// A classic-executor-only side effect an LP handler cannot perform
-/// itself: scheduling a *global* event, or invoking the global
-/// deadline-cancellation path. Drained by the serial executor right after
-/// the handler; the parallel executor asserts the queue stays empty
-/// (its shardability gate excludes every feature that produces them).
+/// A side effect an LP method cannot perform itself: scheduling a
+/// *global* event, or a step of the deadline-cancellation or hedging
+/// paths, which cross LPs. Drained right after the LP call, with the rest
+/// of the LP's log; inside the parallel executor's windows the queue must
+/// stay empty (its shardability gate excludes every feature that fills
+/// it).
 #[derive(Debug)]
 enum Deferred {
     /// Schedule a global event at the given time.
@@ -391,9 +397,9 @@ pub(crate) struct Lp {
     deferred: Vec<Deferred>,
 }
 
-/// The shared state an LP handler may *read*: parameters, the replication
-/// catalog, the published board, and — in the serial executor only —
-/// read access to the other LPs for live admission checks.
+/// The shared state an LP method may *read*: parameters, the replication
+/// catalog, the published board, and — outside the parallel executor's
+/// windows — read access to the other LPs for live admission checks.
 pub(crate) struct Shared<'a> {
     params: &'a SystemParams,
     catalog: &'a Catalog,
@@ -403,8 +409,8 @@ pub(crate) struct Shared<'a> {
 }
 
 /// Read access to every *other* LP, for the admission layer's live
-/// occupancy checks (`None` in the parallel executor, whose shardability
-/// gate excludes admission control).
+/// occupancy checks (`None` inside the parallel executor's windows: its
+/// shardability gate excludes admission control).
 pub(crate) struct Cross<'a> {
     left: &'a [Lp],
     right: &'a [Lp],
@@ -632,7 +638,7 @@ impl Lp {
             debug_assert!(sh.params.faults.is_some());
             self.obs.push((now, Obs::Submit { remote: false }));
             let id = self.insert_query(profile, home, reads_total, now, QueryPhase::Backoff, kind);
-            self.schedule_retry_local(now, id, sh, sink);
+            self.schedule_retry(now, id, sh.params, sink);
             return;
         }
 
@@ -645,64 +651,23 @@ impl Lp {
             Admission::Drop => {
                 self.obs.push((now, Obs::Submit { remote: false }));
                 self.obs.push((now, Obs::AdmissionDropped));
-                if matches!(sh.params.workload, Workload::Closed) {
-                    let think = self.rng_think.exponential(sh.params.think_time);
-                    sink.schedule(now + think, Event::Submit { site: home });
-                }
+                self.rethink(now, sh.params, sink);
                 return;
             }
             Admission::Reject => {
                 self.obs.push((now, Obs::Submit { remote: false }));
                 let id =
                     self.insert_query(profile, home, reads_total, now, QueryPhase::Backoff, kind);
-                let a = sh.params.admission.expect("admission layer active");
-                if self.resilience_retry_local(
-                    now,
-                    id,
-                    a.backoff_base,
-                    a.max_retries,
-                    RetryCounter::Admission,
-                    sh,
-                    sink,
-                ) {
-                    self.obs.push((now, Obs::AdmissionRejected));
-                } else {
-                    self.obs.push((now, Obs::AdmissionDropped));
-                }
+                self.reject(now, id, sh, sink);
                 return;
             }
         };
 
         let remote = exec != home;
-        // Local executions take their load slot immediately; remote
-        // dispatches take it at frame *delivery* (the execution site is
-        // the one whose row grows, and only its own LP may grow it).
-        if !remote {
-            self.alloc_load(now, profile.io_bound);
-        }
         self.obs.push((now, Obs::Submit { remote }));
-        let phase = if remote {
-            QueryPhase::Transfer
-        } else {
-            QueryPhase::Disk
-        };
-        let id = self.insert_query(profile, exec, reads_total, now, phase, kind);
+        let id = self.insert_query(profile, exec, reads_total, now, QueryPhase::Transfer, kind);
         self.arm_deadline(now, id, sh.params);
-
-        if remote {
-            let cost = sh.params.dispatch_cost(class);
-            self.outbox.push((
-                now,
-                RingMsg::Query {
-                    query: id,
-                    kind: MsgKind::Dispatch,
-                    dest: exec,
-                },
-                cost,
-            ));
-        } else {
-            self.start_read(now, id, sh, sink);
-        }
+        self.place(now, id, exec, sh, sink);
         if hedge {
             self.hedge_dispatch(now, id, &profile, relation, exec, sh);
         }
@@ -820,6 +785,43 @@ impl Lp {
         })
     }
 
+    /// Sends an allocated query to its execution site `exec`: it starts
+    /// here at once, or rides a dispatch frame to `exec`, whose LP takes
+    /// the load slot at delivery (only a site's own LP may grow its row).
+    fn place(
+        &mut self,
+        now: SimTime,
+        id: QueryId,
+        exec: SiteId,
+        sh: &Shared<'_>,
+        sink: &mut dyn EventSink,
+    ) {
+        let class = {
+            let q = self.query_mut(id);
+            q.exec = exec;
+            q.profile.class
+        };
+        if exec == self.index {
+            self.execute(now, id, sh, sink);
+        } else {
+            self.query_mut(id).phase = QueryPhase::Transfer;
+            let msg = RingMsg::Query {
+                query: id,
+                kind: MsgKind::Dispatch,
+                dest: exec,
+            };
+            self.outbox.push((now, msg, sh.params.dispatch_cost(class)));
+        }
+    }
+
+    /// Starts executing a query at this site: it takes the site's load
+    /// slot and goes to its first page read.
+    fn execute(&mut self, now: SimTime, id: QueryId, sh: &Shared<'_>, sink: &mut dyn EventSink) {
+        let io_bound = self.query(id).profile.io_bound;
+        self.alloc_load(now, io_bound);
+        self.start_read(now, id, sh, sink);
+    }
+
     /// Sends the query to a disk at this site for its next page read.
     fn start_read(&mut self, now: SimTime, id: QueryId, sh: &Shared<'_>, sink: &mut dyn EventSink) {
         let service = sh.disk_dist.sample(&mut self.rng_disk);
@@ -883,7 +885,7 @@ impl Lp {
         // completion. The reap outranks a concurrently expired deadline —
         // the logical query already finished elsewhere.
         if cancelled {
-            self.reap_flagged(now, id);
+            self.reap(now, id);
             return;
         }
         if expired {
@@ -955,28 +957,21 @@ impl Lp {
             return;
         }
 
-        // Execution complete: the query leaves the site's load.
-        let (io_bound, home, remote, class, reads_total) = {
+        // Execution complete. A hedged attempt's completion is a *group*
+        // decision (first win): defer it to the executor, which consults
+        // the global registry and frees the load slot. Hedged attempts
+        // are always reads, so no propagation spawn is skipped here.
+        let (io_bound, remote, hedged) = {
             let q = self.query(id);
-            (
-                q.profile.io_bound,
-                q.profile.home,
-                q.is_remote(),
-                q.profile.class,
-                q.reads_total,
-            )
+            (q.profile.io_bound, q.is_remote(), q.hedge_group.is_some())
         };
-        self.release_load(now, io_bound);
-
-        // A hedged attempt's completion is a *group* decision (first
-        // win): defer it to the executor, which consults the global
-        // registry. Hedged attempts are always reads, so no propagation
-        // spawn is skipped here.
-        if self.query(id).hedge_group.is_some() {
+        if hedged {
             // dqa-lint: allow(shard-isolation) -- ShardGate::Redundancy: first-win resolution consults the global hedge registry at the drain point
             self.deferred.push(Deferred::HedgeFinish(id));
             return;
         }
+        // The query leaves the site's load.
+        self.release_load(now, io_bound);
 
         match kind {
             QueryKind::Propagation => {
@@ -990,20 +985,24 @@ impl Lp {
         }
 
         if remote {
-            self.query_mut(id).phase = QueryPhase::Return;
-            let cost = sh.params.result_cost(class, f64::from(reads_total));
-            self.outbox.push((
-                now,
-                RingMsg::Query {
-                    query: id,
-                    kind: MsgKind::Result,
-                    dest: home,
-                },
-                cost,
-            ));
+            self.ship_result(now, id, sh.params);
         } else {
-            self.complete_local(now, id, sh, sink);
+            self.finish(now, id, sh.params, sink);
         }
+    }
+
+    /// Ships a finished execution's results from this site to the query's
+    /// home over the ring.
+    fn ship_result(&mut self, now: SimTime, id: QueryId, params: &SystemParams) {
+        let q = self.query_mut(id);
+        q.phase = QueryPhase::Return;
+        let msg = RingMsg::Query {
+            query: id,
+            kind: MsgKind::Result,
+            dest: q.profile.home,
+        };
+        let cost = params.result_cost(q.profile.class, f64::from(q.reads_total));
+        self.outbox.push((now, msg, cost));
     }
 
     /// Ships read-one-write-all apply jobs to every other holder of the
@@ -1197,34 +1196,31 @@ impl Lp {
         };
         debug_assert_eq!(q.profile.home, self.index);
         debug_assert!(matches!(q.phase, QueryPhase::Backoff));
-        let (kind, home) = (q.kind, q.profile.home);
+        let (kind, profile) = (q.kind, q.profile);
+        let relation = profile.relation;
         if !self.site.is_up() {
             // The query's own site is (still) down; keep waiting.
-            self.schedule_retry_local(now, id, sh, sink);
+            self.schedule_retry(now, id, sh.params, sink);
             return;
         }
-        let (profile, relation) = {
-            let q = self.query(id);
-            (q.profile, q.profile.relation)
-        };
         // Apply jobs are pinned to their replica; everything else re-runs
         // the failure-aware allocation from home.
         let exec = if kind == QueryKind::Propagation {
-            home
+            self.index
         } else {
             let ctx = AllocationContext {
                 params: sh.params,
                 board: sh.board,
                 own: self.live,
                 trust: &self.trust,
-                arrival_site: home,
+                arrival_site: self.index,
             };
             self.allocator
                 .select_site_among(&profile, &ctx, sh.catalog.candidates(relation))
         };
         if !sh.catalog.holds(exec, relation) {
             // Still no holder reachable: keep backing off.
-            self.schedule_retry_local(now, id, sh, sink);
+            self.schedule_retry(now, id, sh.params, sink);
             return;
         }
         // Admission applies to re-allocations too; apply jobs are pinned
@@ -1236,56 +1232,17 @@ impl Lp {
                 Admission::Admit(site) => site,
                 Admission::Drop => {
                     self.obs.push((now, Obs::AdmissionDropped));
-                    self.shed_local(now, id, sh, sink);
+                    self.shed(now, id, sh.params, sink);
                     return;
                 }
                 Admission::Reject => {
-                    let a = sh.params.admission.expect("admission layer active");
-                    if self.resilience_retry_local(
-                        now,
-                        id,
-                        a.backoff_base,
-                        a.max_retries,
-                        RetryCounter::Admission,
-                        sh,
-                        sink,
-                    ) {
-                        self.obs.push((now, Obs::AdmissionRejected));
-                    } else {
-                        self.obs.push((now, Obs::AdmissionDropped));
-                    }
+                    self.reject(now, id, sh, sink);
                     return;
                 }
             }
         };
-        let remote = exec != home;
-        if !remote {
-            self.alloc_load(now, profile.io_bound);
-        }
-        {
-            let q = self.query_mut(id);
-            q.exec = exec;
-            q.phase = if remote {
-                QueryPhase::Transfer
-            } else {
-                QueryPhase::Disk
-            };
-        }
         self.arm_deadline(now, id, sh.params);
-        if remote {
-            let cost = sh.params.dispatch_cost(profile.class);
-            self.outbox.push((
-                now,
-                RingMsg::Query {
-                    query: id,
-                    kind: MsgKind::Dispatch,
-                    dest: exec,
-                },
-                cost,
-            ));
-        } else {
-            self.start_read(now, id, sh, sink);
-        }
+        self.place(now, id, exec, sh, sink);
     }
 
     /// Jittered exponential backoff for retry `attempt` (1-based):
@@ -1303,88 +1260,125 @@ impl Lp {
         spec.backoff_base * f64::from(1u32 << exp) * self.rng_fault_backoff.uniform(0.5, 1.5)
     }
 
-    /// Consumes one retry attempt for a query parked at this site: either
-    /// schedules a `Resubmit` after a backoff delay or — once the budget
-    /// is exhausted — abandons the query. The query must hold no
-    /// load-table slot.
-    fn schedule_retry_local(
+    /// Consumes one fault-retry attempt for a query in this LP's table:
+    /// after a jittered backoff, a backed-off query resubmits from here and
+    /// a result retransmits from here. Once the budget is spent the query
+    /// is lost; the return value is then that of [`Lp::free_terminal`].
+    /// The query must hold no load-table slot.
+    fn schedule_retry(
         &mut self,
         now: SimTime,
         id: QueryId,
-        sh: &Shared<'_>,
+        params: &SystemParams,
         sink: &mut dyn EventSink,
-    ) {
-        let max_retries = sh.params.faults.expect("fault layer active").max_retries;
-        let attempts = {
+    ) -> Option<SiteId> {
+        let max_retries = params.faults.expect("fault layer active").max_retries;
+        let (attempts, phase) = {
             let q = self.query_mut(id);
             q.retries += 1;
-            q.retries
+            (q.retries, q.phase)
         };
         if attempts > max_retries {
-            self.lose_local(now, id, sh, sink);
+            self.obs.push((now, Obs::Lost));
+            return self.shed(now, id, params, sink);
+        }
+        self.obs.push((now, Obs::Retry));
+        let delay = self.backoff_delay(params, attempts);
+        let (query, site) = (id, self.index);
+        let event = if matches!(phase, QueryPhase::Return) {
+            Event::Retransmit { query, site }
         } else {
-            self.obs.push((now, Obs::Retry));
-            let delay = self.backoff_delay(sh.params, attempts);
-            sink.schedule(
-                now + delay,
-                Event::Resubmit {
-                    query: id,
-                    site: self.index,
-                },
-            );
-        }
+            Event::Resubmit { query, site }
+        };
+        sink.schedule(now + delay, event);
+        None
     }
 
-    /// The query exhausted its retry budget and is abandoned. Closed
-    /// model: its terminal nevertheless returns to thinking, preserving
-    /// the closed population.
-    fn lose_local(&mut self, now: SimTime, id: QueryId, sh: &Shared<'_>, sink: &mut dyn EventSink) {
+    /// Removes a query that leaves the system unserved (lost or shed); the
+    /// caller records the cause. An abandoned hedged primary takes its
+    /// duplicates with it, so the logical query gets exactly one terminal
+    /// outcome. Returns as [`Lp::free_terminal`].
+    fn shed(
+        &mut self,
+        now: SimTime,
+        id: QueryId,
+        params: &SystemParams,
+        sink: &mut dyn EventSink,
+    ) -> Option<SiteId> {
         let q = self.take_query(id);
-        // An abandoned hedged primary takes its duplicates with it: the
-        // logical query gets exactly one terminal outcome.
         if let Some(group) = q.hedge_group {
             // dqa-lint: allow(shard-isolation) -- ShardGate::Redundancy: abandoning a hedged primary dissolves its cross-site group
             self.deferred.push(Deferred::HedgeAbandon { group });
         }
-        self.obs.push((now, Obs::Lost));
-        if matches!(sh.params.workload, Workload::Closed) && q.kind != QueryKind::Propagation {
-            let think = self.rng_think.exponential(sh.params.think_time);
-            sink.schedule(
-                now + think,
-                Event::Submit {
-                    site: q.profile.home,
-                },
-            );
+        self.free_terminal(now, &q, params, sink)
+    }
+
+    /// The query's results reached its terminal: its record leaves this
+    /// table and its completion is recorded. Returns as
+    /// [`Lp::free_terminal`].
+    fn finish(
+        &mut self,
+        now: SimTime,
+        id: QueryId,
+        params: &SystemParams,
+        sink: &mut dyn EventSink,
+    ) -> Option<SiteId> {
+        let q = self.take_query(id);
+        if q.retries > 0 {
+            self.obs.push((now, Obs::Recovered));
+        }
+        self.obs.push((
+            now,
+            Obs::Completion {
+                class: q.profile.class,
+                response: now - q.submitted,
+                service: q.service,
+            },
+        ));
+        self.free_terminal(now, &q, params, sink)
+    }
+
+    /// Frees the terminal of `q`, which just left the system (apply jobs
+    /// have none). Only the home LP may draw its terminal's think time, so
+    /// a record held elsewhere — a result on its way home — returns the
+    /// home site instead, and the barrier-time caller runs that LP's
+    /// [`Lp::rethink`]. LP event handlers only ever end queries at home.
+    fn free_terminal(
+        &mut self,
+        now: SimTime,
+        q: &ActiveQuery,
+        params: &SystemParams,
+        sink: &mut dyn EventSink,
+    ) -> Option<SiteId> {
+        let home = q.profile.home;
+        if q.kind == QueryKind::Propagation {
+            None
+        } else if home == self.index {
+            self.rethink(now, params, sink);
+            None
+        } else {
+            Some(home)
         }
     }
 
-    /// Removes a shed query (admission drop at this site). The caller
-    /// records the per-cause observation. Closed model: the terminal
-    /// returns to thinking, preserving the closed population.
-    fn shed_local(&mut self, now: SimTime, id: QueryId, sh: &Shared<'_>, sink: &mut dyn EventSink) {
-        let q = self.take_query(id);
-        // As in `lose_local`: a shed hedged primary dissolves its group.
-        if let Some(group) = q.hedge_group {
-            // dqa-lint: allow(shard-isolation) -- ShardGate::Redundancy: abandoning a hedged primary dissolves its cross-site group
-            self.deferred.push(Deferred::HedgeAbandon { group });
-        }
-        if matches!(sh.params.workload, Workload::Closed) && q.kind != QueryKind::Propagation {
-            let think = self.rng_think.exponential(sh.params.think_time);
-            sink.schedule(
-                now + think,
-                Event::Submit {
-                    site: q.profile.home,
-                },
-            );
+    /// Closed model: this site's terminal thinks, then submits its next
+    /// query. Open model: departures leave; arrivals are source-driven.
+    fn rethink(&mut self, now: SimTime, params: &SystemParams, sink: &mut dyn EventSink) {
+        if matches!(params.workload, Workload::Closed) {
+            let think = self.rng_think.exponential(params.think_time);
+            sink.schedule(now + think, Event::Submit { site: self.index });
         }
     }
 
-    /// Reaps an attempt flagged by first-win cancellation at this site:
-    /// frees its load slot, removes the record, and defers the registry
-    /// retirement to the executor.
-    fn reap_flagged(&mut self, now: SimTime, id: QueryId) {
+    /// Reaps a losing hedge attempt: removes its record, frees the load
+    /// slot it held at this site's stations, charges its partial work to
+    /// wasted service, and defers the registry retirement to the
+    /// executor. The caller has already unwound any station residency.
+    fn reap(&mut self, now: SimTime, id: QueryId) {
         let q = self.take_query(id);
-        self.release_load(now, q.profile.io_bound);
+        if matches!(q.phase, QueryPhase::Disk | QueryPhase::Cpu) {
+            self.release_load(now, q.profile.io_bound);
+        }
         self.obs
             .push((now, Obs::HedgeCancelled { wasted: q.service }));
         if let Some(group) = q.hedge_group {
@@ -1393,16 +1387,91 @@ impl Lp {
         }
     }
 
-    /// Consumes one resilience retry for a query parked at this site
-    /// against the given budget: schedules a jittered-backoff `Resubmit`
-    /// and returns `true`, or sheds the query and returns `false` once
-    /// the budget is exhausted. Deadline reallocations and admission
-    /// rejects count against *separate* per-query counters — a query
-    /// turned away repeatedly at admission has done no work yet, so it
-    /// must not arrive with its deadline reallocation budget already
+    /// Pulls a query resident at this site's stations (phase Disk or Cpu)
+    /// off them, phase-exactly: a CPU job leaves the PS server (the next
+    /// completion reshuffles) and a waiting disk job leaves its queue.
+    /// Returns `false`, touching nothing, for a page read in service:
+    /// FCFS service is immutable once started, so the caller flags the
+    /// query and the read's own `DiskDone` ends it.
+    fn evict(&mut self, now: SimTime, id: QueryId, sink: &mut dyn EventSink) -> bool {
+        match self.query(id).phase {
+            QueryPhase::Cpu => {
+                let removed = self.site.cpu.remove(now, &id);
+                debug_assert!(removed.is_some(), "Cpu-phase query not in its PS server");
+                if let Some((_unserved, Some((t, token)))) = removed {
+                    let site = self.index;
+                    sink.schedule(t, Event::CpuDone { site, token });
+                }
+                true
+            }
+            QueryPhase::Disk => {
+                if self.site.disks.iter().any(|d| d.is_in_service(&id)) {
+                    return false;
+                }
+                let removed = self
+                    .site
+                    .disks
+                    .iter_mut()
+                    .find_map(|d| d.remove_waiting(now, &id));
+                debug_assert!(
+                    removed.is_some(),
+                    "Disk-phase query neither in service nor waiting"
+                );
+                true
+            }
+            phase => unreachable!("evicting a query in phase {phase:?}"),
+        }
+    }
+
+    /// Abandons the query's current execution attempt (a crash, a lost
+    /// dispatch, or a deadline): its partial work is wasted and shows up
+    /// as waiting time, not service; any armed deadline goes stale; and a
+    /// query at this site's stations frees its load slot — an en-route
+    /// dispatch never took one. The caller has already pulled it off the
+    /// stations.
+    fn abort_attempt(&mut self, now: SimTime, id: QueryId) {
+        let (phase, io_bound) = {
+            let q = self.query_mut(id);
+            debug_assert!(!matches!(q.phase, QueryPhase::Return | QueryPhase::Backoff));
+            let phase = q.phase;
+            q.phase = QueryPhase::Backoff;
+            q.reads_done = 0;
+            q.service = 0.0;
+            q.expired = false;
+            q.deadline_epoch += 1;
+            (phase, q.profile.io_bound)
+        };
+        if matches!(phase, QueryPhase::Disk | QueryPhase::Cpu) {
+            self.release_load(now, io_bound);
+        }
+    }
+
+    /// Admission turned the query away: it backs off at its home terminal
+    /// for another allocation attempt, or is dropped once its admission
+    /// retries are spent.
+    fn reject(&mut self, now: SimTime, id: QueryId, sh: &Shared<'_>, sink: &mut dyn EventSink) {
+        let a = sh.params.admission.expect("admission layer active");
+        let counter = RetryCounter::Admission;
+        let retried =
+            self.resilience_retry(now, id, a.backoff_base, a.max_retries, counter, sh, sink);
+        let obs = if retried {
+            Obs::AdmissionRejected
+        } else {
+            Obs::AdmissionDropped
+        };
+        self.obs.push((now, obs));
+    }
+
+    /// Consumes one resilience retry for a query parked at this site (its
+    /// home) against the given budget: schedules a jittered-backoff
+    /// `Resubmit` and returns `true`, or sheds the query and returns
+    /// `false` once the budget is exhausted. Deadline reallocations and
+    /// admission rejects count against *separate* per-query counters — a
+    /// query turned away repeatedly at admission has done no work yet, so
+    /// it must not arrive with its deadline reallocation budget already
     /// spent.
     #[allow(clippy::too_many_arguments)]
-    fn resilience_retry_local(
+    fn resilience_retry(
         &mut self,
         now: SimTime,
         id: QueryId,
@@ -1434,7 +1503,7 @@ impl Lp {
             }
         };
         if attempts > budget {
-            self.shed_local(now, id, sh, sink);
+            self.shed(now, id, sh.params, sink);
             false
         } else {
             let exp = attempts.saturating_sub(1).min(16);
@@ -1545,41 +1614,6 @@ impl Lp {
                 s.streak[target] = 0;
                 self.trust[target] = false;
             }
-        }
-    }
-
-    /// The query's results reached its terminal (local execution):
-    /// record statistics and put the terminal back into think state.
-    fn complete_local(
-        &mut self,
-        now: SimTime,
-        id: QueryId,
-        sh: &Shared<'_>,
-        sink: &mut dyn EventSink,
-    ) {
-        let q = self.take_query(id);
-        let response = now - q.submitted;
-        if q.retries > 0 {
-            self.obs.push((now, Obs::Recovered));
-        }
-        self.obs.push((
-            now,
-            Obs::Completion {
-                class: q.profile.class,
-                response,
-                service: q.service,
-            },
-        ));
-        // Closed model: the terminal thinks, then submits its next query.
-        // Open model: the departure leaves; arrivals are source-driven.
-        if matches!(sh.params.workload, Workload::Closed) {
-            let think = self.rng_think.exponential(sh.params.think_time);
-            sink.schedule(
-                now + think,
-                Event::Submit {
-                    site: q.profile.home,
-                },
-            );
         }
     }
 
@@ -1869,16 +1903,23 @@ impl DbSystem {
     }
 
     // ------------------------------------------------------------------
-    // Executor plumbing: LP dispatch and flush
+    // Executor plumbing: LP calls and flush
     // ------------------------------------------------------------------
 
-    /// Runs one LP event on its owning logical process, then flushes the
-    /// LP's side effects (serial executor: flush happens immediately, so
-    /// the board and metrics are always current).
-    fn dispatch_lp(&mut self, now: SimTime, site: SiteId, event: Event, sink: &mut dyn EventSink) {
-        {
+    /// Runs `f` on the LP of `site` — an LP event handler, or one
+    /// lifecycle step a barrier-time handler performs there — and then
+    /// flushes that LP's side effects at once, so board, metric and ring
+    /// writes land in the order the LP made them.
+    fn on_lp<R>(
+        &mut self,
+        now: SimTime,
+        site: SiteId,
+        sink: &mut dyn EventSink,
+        f: impl FnOnce(&mut Lp, &Shared<'_>, &mut dyn EventSink) -> R,
+    ) -> R {
+        let out = {
             let (left, rest) = self.lps.split_at_mut(site);
-            let (lp, right) = rest.split_first_mut().expect("LP event site in range");
+            let (lp, right) = rest.split_first_mut().expect("LP site in range");
             let sh = Shared {
                 params: &self.params,
                 catalog: &self.catalog,
@@ -1890,33 +1931,29 @@ impl DbSystem {
                     idx: site,
                 }),
             };
-            lp.handle(now, event, &sh, sink);
-        }
+            f(lp, &sh, sink)
+        };
         self.flush_lp(now, site, sink);
+        out
     }
 
     /// Applies one LP's pending side effects: observations onto the
     /// board/metrics, outbox frames onto the ring, deferred global
-    /// actions. Called after every event by the serial executor and at
-    /// window barriers (in merged timestamp order) by the parallel one.
-    pub(crate) fn flush_lp(&mut self, now: SimTime, site: SiteId, sink: &mut dyn EventSink) {
-        let mut log = std::mem::take(&mut self.lps[site].obs);
-        for &(t, o) in &log {
+    /// actions. The serial executor flushes after every LP call; the
+    /// parallel one merges window logs at its barriers instead.
+    fn flush_lp(&mut self, now: SimTime, site: SiteId, sink: &mut dyn EventSink) {
+        let lp = &mut self.lps[site];
+        for &(t, o) in &lp.obs {
             obs::apply(t, o, &mut self.board, &mut self.metrics);
         }
-        log.clear();
-        self.lps[site].obs = log;
-
-        let mut out = std::mem::take(&mut self.lps[site].outbox);
-        for &(t, msg, cost) in &out {
+        lp.obs.clear();
+        for &(t, msg, cost) in &lp.outbox {
             if let Some(done) = self.ring.send(t, site, msg, cost) {
                 sink.schedule(done, Event::NetDone);
             }
         }
-        out.clear();
-        self.lps[site].outbox = out;
-
-        for d in std::mem::take(&mut self.lps[site].deferred) {
+        lp.outbox.clear();
+        for d in std::mem::take(&mut lp.deferred) {
             match d {
                 Deferred::Schedule(t, e) => sink.schedule(t, e),
                 Deferred::Cancel(id) => self.cancel_and_reallocate(now, id, site, sink),
@@ -1946,7 +1983,12 @@ impl DbSystem {
             Event::StatusExchange => self.handle_status_exchange(now, sink),
             Event::SiteDown { site } => self.handle_site_down(now, site, sink),
             Event::SiteUp { site } => self.handle_site_up(now, site, sink),
-            Event::MsgLost { msg, from } => self.handle_msg_lost(now, msg, from, sink),
+            // `from` is the sender, whose table still holds any in-flight
+            // query (tables move at delivery).
+            Event::MsgLost { msg, from } => {
+                self.metrics.record_msg_lost();
+                self.undelivered(now, msg, from, sink);
+            }
             Event::Retransmit { query, site } => self.handle_retransmit(now, query, site, sink),
             Event::DeadlineExpire { query, epoch, site } => {
                 self.handle_deadline_expire(now, query, epoch, site, sink);
@@ -2005,43 +2047,20 @@ impl DbSystem {
         });
         if crossing {
             self.metrics.record_partition_drop();
-            match msg {
-                RingMsg::Query {
-                    query,
-                    kind: MsgKind::Dispatch,
-                    ..
-                } => self.fail_execution(now, query, from, sink),
-                RingMsg::Query {
-                    query,
-                    kind: MsgKind::Result,
-                    ..
-                } => self.schedule_retry_global(now, query, from, sink),
-                // Cancels are fire-and-forget: a dropped one is repaired
-                // by the winner guard at the loser's own completion.
-                RingMsg::Query {
-                    kind: MsgKind::Cancel,
-                    ..
-                } => {}
-                RingMsg::Status { .. } => unreachable!("status frames are never dropped here"),
-            }
+            self.undelivered(now, msg, from, sink);
             return;
         }
         match msg {
             RingMsg::Query { query, kind, dest } => {
                 if !self.lps[dest].site.is_up() {
                     // The destination crashed while the message was in
-                    // flight: undeliverable (but not a subnet loss). A
-                    // cancel's target was already reaped by the crash.
-                    match kind {
-                        MsgKind::Dispatch => self.fail_execution(now, query, from, sink),
-                        MsgKind::Result => self.schedule_retry_global(now, query, from, sink),
-                        MsgKind::Cancel => {}
-                    }
+                    // flight: undeliverable (but not a subnet loss).
+                    self.undelivered(now, msg, from, sink);
                     return;
                 }
                 match kind {
                     MsgKind::Dispatch => self.deliver_dispatch(now, query, from, dest, sink),
-                    MsgKind::Result => self.complete_query_global(now, query, from, sink),
+                    MsgKind::Result => self.deliver_result(now, query, from, sink),
                     MsgKind::Cancel => self.deliver_cancel(now, query, dest, sink),
                 }
             }
@@ -2055,9 +2074,8 @@ impl DbSystem {
     }
 
     /// A dispatch (or migration) frame arrived at its execution site: the
-    /// query's record moves tables, the destination takes the load slot,
-    /// any armed deadline follows the query to its new id, and execution
-    /// starts.
+    /// query's record moves tables, any armed deadline follows the query
+    /// to its new id, and execution starts there.
     fn deliver_dispatch(
         &mut self,
         now: SimTime,
@@ -2066,16 +2084,16 @@ impl DbSystem {
         dest: SiteId,
         sink: &mut dyn EventSink,
     ) {
-        let (expired, cancelled, io_bound) = {
+        let (expired, cancelled) = {
             let q = self.lps[from].query(id);
-            (q.expired, q.hedge_cancelled, q.profile.io_bound)
+            (q.expired, q.hedge_cancelled)
         };
         // First-win cancellation flagged this attempt while its dispatch
         // frame was on the wire: reap it on arrival, before the deadline
         // check — the logical query already finished elsewhere. No load
         // slot was ever taken.
         if cancelled {
-            self.reap_attempt(now, id, from);
+            self.on_lp(now, from, sink, |lp, _, _| lp.reap(now, id));
             return;
         }
         // The deadline expired while the dispatch was on the wire: cancel
@@ -2085,38 +2103,37 @@ impl DbSystem {
             return;
         }
         let id = self.move_query(id, from, dest);
-        self.alloc_load_direct(now, dest, io_bound);
         self.rearm_deadline(now, id, dest, sink);
-        self.start_read_at(now, dest, id, sink);
+        self.on_lp(now, dest, sink, |lp, sh, sink| {
+            lp.execute(now, id, sh, sink)
+        });
     }
 
-    /// A result frame arrived back at the query's terminal.
-    fn complete_query_global(
+    /// A result frame arrived back at the query's terminal. The group's
+    /// win was already claimed when execution finished; delivery just
+    /// retires the winner's registry entry.
+    fn deliver_result(
         &mut self,
         now: SimTime,
         id: QueryId,
         from: SiteId,
         sink: &mut dyn EventSink,
     ) {
-        let q = self.lps[from].take_query(id);
-        // The group's win was already claimed when execution finished;
-        // result delivery just retires the winner's registry entry.
-        if let Some(group) = q.hedge_group {
+        let group = self.lps[from].query(id).hedge_group;
+        let home = self.on_lp(now, from, sink, |lp, sh, sink| {
+            lp.finish(now, id, sh.params, sink)
+        });
+        if let Some(group) = group {
             self.hedges.retire(group, from, id);
         }
-        let response = now - q.submitted;
-        if q.retries > 0 {
-            self.metrics.record_recovered();
-        }
-        self.metrics
-            .record_completion(q.profile.class, response, q.service);
-        // Closed model: the terminal thinks, then submits its next query
-        // (the think draw comes from the *home* site's stream — it is the
-        // home terminal that thinks).
-        if matches!(self.params.workload, Workload::Closed) {
-            let home = q.profile.home;
-            let think = self.lps[home].rng_think.exponential(self.params.think_time);
-            sink.schedule(now + think, Event::Submit { site: home });
+        self.rethink_at(now, home, sink);
+    }
+
+    /// The home terminal a barrier-time LP call freed at another site
+    /// (see [`Lp::free_terminal`]) thinks, then submits.
+    fn rethink_at(&mut self, now: SimTime, home: Option<SiteId>, sink: &mut dyn EventSink) {
+        if let Some(home) = home {
+            self.lps[home].rethink(now, &self.params, sink);
         }
     }
 
@@ -2165,97 +2182,31 @@ impl DbSystem {
         // frame may still be on the wire): the logical query completed
         // elsewhere, so destruction just completes the reap — retrying
         // (or losing) it would double-count the outcome.
-        let (dup, flagged, group) = {
+        let (dup, flagged, group, home) = {
             let q = self.lps[site].query(id);
-            (q.hedge_dup, q.hedge_cancelled, q.hedge_group)
+            (
+                q.hedge_dup,
+                q.hedge_cancelled,
+                q.hedge_group,
+                q.profile.home,
+            )
         };
         if dup || flagged || group.is_some_and(|g| self.hedges.group(g).decided) {
-            self.reap_attempt(now, id, site);
+            self.on_lp(now, site, sink, |lp, _, _| lp.reap(now, id));
             return;
         }
-        let (phase, exec, io_bound, home) = {
-            let q = self.lps[site].query_mut(id);
-            debug_assert!(!matches!(q.phase, QueryPhase::Return | QueryPhase::Backoff));
-            let phase = q.phase;
-            q.phase = QueryPhase::Backoff;
-            // Wasted partial work shows up as waiting time, not service.
-            q.reads_done = 0;
-            q.service = 0.0;
-            // Any armed deadline refers to the destroyed attempt; a fresh
-            // one is armed if the query is ever re-allocated.
-            q.expired = false;
-            q.deadline_epoch += 1;
-            (phase, q.exec, q.profile.io_bound, q.profile.home)
-        };
-        // Only queries actually *at* a site hold a load slot; an en-route
-        // dispatch (Transfer) was never allocated at its destination.
-        if matches!(phase, QueryPhase::Disk | QueryPhase::Cpu) {
-            self.release_load_direct(now, exec, io_bound);
-        }
+        self.on_lp(now, site, sink, |lp, _, _| lp.abort_attempt(now, id));
         let id = self.move_query(id, site, home);
-        self.schedule_retry_global(now, id, home, sink);
+        self.retry(now, id, home, sink);
     }
 
-    /// Consumes one retry attempt for a query in `site`'s table: either
-    /// schedules the retry after a backoff delay or — once the budget is
-    /// exhausted — abandons the query. Backed-off queries retry via the
-    /// home LP's `Resubmit`; lost results retransmit via the global
-    /// `Retransmit`.
-    fn schedule_retry_global(
-        &mut self,
-        now: SimTime,
-        id: QueryId,
-        site: SiteId,
-        sink: &mut dyn EventSink,
-    ) {
-        let max_retries = self
-            .fault
-            .as_ref()
-            .expect("fault layer active")
-            .spec
-            .max_retries;
-        let (attempts, phase) = {
-            let q = self.lps[site].query_mut(id);
-            q.retries += 1;
-            (q.retries, q.phase)
-        };
-        if attempts > max_retries {
-            self.lose_query_global(now, id, site, sink);
-        } else {
-            self.metrics.record_retry();
-            let delay = self.lps[site].backoff_delay(&self.params, attempts);
-            let event = if matches!(phase, QueryPhase::Return) {
-                Event::Retransmit { query: id, site }
-            } else {
-                Event::Resubmit { query: id, site }
-            };
-            sink.schedule(now + delay, event);
-        }
-    }
-
-    /// The query exhausted its retry budget and is abandoned. Closed
-    /// model: its terminal nevertheless returns to thinking, preserving
-    /// the closed population.
-    fn lose_query_global(
-        &mut self,
-        now: SimTime,
-        id: QueryId,
-        site: SiteId,
-        sink: &mut dyn EventSink,
-    ) {
-        let q = self.lps[site].take_query(id);
-        // A lost hedged attempt dissolves its group: an abandoned primary
-        // reaps its still-racing duplicates; a lost winner (its result
-        // retries exhausted) only retires its own — already last — entry.
-        if let Some(group) = q.hedge_group {
-            self.dissolve_group(now, group, None, sink);
-        }
-        self.metrics.record_lost();
-        if matches!(self.params.workload, Workload::Closed) && q.kind != QueryKind::Propagation {
-            let home = q.profile.home;
-            let think = self.lps[home].rng_think.exponential(self.params.think_time);
-            sink.schedule(now + think, Event::Submit { site: home });
-        }
+    /// Consumes one fault retry for the query in `site`'s table (see
+    /// [`Lp::schedule_retry`]); a lost query frees its home terminal.
+    fn retry(&mut self, now: SimTime, id: QueryId, site: SiteId, sink: &mut dyn EventSink) {
+        let home = self.on_lp(now, site, sink, |lp, sh, sink| {
+            lp.schedule_retry(now, id, sh.params, sink)
+        });
+        self.rethink_at(now, home, sink);
     }
 
     /// A completed query's lost result set is retransmitted from its
@@ -2275,21 +2226,14 @@ impl DbSystem {
             return;
         };
         debug_assert!(matches!(q.phase, QueryPhase::Return));
-        let (home, class, reads_total) = (q.profile.home, q.profile.class, q.reads_total);
         if self.lps[site].site.is_up() {
             // The execution site keeps results logged until acknowledged.
-            let msg = RingMsg::Query {
-                query: id,
-                kind: MsgKind::Result,
-                dest: home,
-            };
-            let cost = self.params.result_cost(class, f64::from(reads_total));
-            if let Some(done) = self.ring.send(now, site, msg, cost) {
-                sink.schedule(done, Event::NetDone);
-            }
+            self.on_lp(now, site, sink, |lp, sh, _| {
+                lp.ship_result(now, id, sh.params)
+            });
         } else {
             // The log is unreachable while its site is down.
-            self.schedule_retry_global(now, id, site, sink);
+            self.retry(now, id, site, sink);
         }
     }
 
@@ -2377,16 +2321,14 @@ impl DbSystem {
         }
     }
 
-    /// A ring message was dropped in flight; `from` is the sender, whose
-    /// table still holds any in-flight query (tables move at delivery).
-    fn handle_msg_lost(
-        &mut self,
-        now: SimTime,
-        msg: RingMsg,
-        from: SiteId,
-        sink: &mut dyn EventSink,
-    ) {
-        self.metrics.record_msg_lost();
+    /// A frame that never arrives — lost, dropped at a partition
+    /// boundary, or addressed to a crashed site: a dispatch's execution
+    /// attempt is destroyed and a result set retries from its execution
+    /// site. Cancels are fire-and-forget: the winner guard repairs a
+    /// missing one at the loser's own completion (and a crash already
+    /// reaped its target). A missed broadcast leaves stale rows until the
+    /// next period.
+    fn undelivered(&mut self, now: SimTime, msg: RingMsg, from: SiteId, sink: &mut dyn EventSink) {
         match msg {
             RingMsg::Query {
                 query,
@@ -2397,16 +2339,12 @@ impl DbSystem {
                 query,
                 kind: MsgKind::Result,
                 ..
-            } => self.schedule_retry_global(now, query, from, sink),
-            // Cancels are fire-and-forget; the winner guard repairs the
-            // loss at the loser's own completion.
+            } => self.retry(now, query, from, sink),
             RingMsg::Query {
                 kind: MsgKind::Cancel,
                 ..
-            } => {}
-            // A lost broadcast just means everyone keeps stale rows until
-            // the next period.
-            RingMsg::Status { .. } => {}
+            }
+            | RingMsg::Status { .. } => {}
         }
     }
 
@@ -2486,45 +2424,16 @@ impl DbSystem {
             // Results already exist (delivering them is cheaper than
             // redoing the work) or the query is already being unwound.
             QueryPhase::Return | QueryPhase::Backoff => {}
-            // The dispatch frame cannot be recalled from the ring: flag
-            // the query; the delivery handler cancels instead of starting.
-            QueryPhase::Transfer => {
-                self.lps[site].query_mut(id).expired = true;
-            }
-            QueryPhase::Cpu => {
-                let (_unserved, next) = self.lps[site]
-                    .site
-                    .cpu
-                    .remove(now, &id)
-                    .expect("Cpu-phase query resident in its PS server");
-                if let Some((t, token)) = next {
-                    sink.schedule(t, Event::CpuDone { site, token });
-                }
-                self.cancel_and_reallocate(now, id, site, sink);
-            }
-            QueryPhase::Disk => {
-                // FCFS service is immutable once started: an in-service
-                // page read finishes and the cancellation happens at its
-                // `DiskDone`. A waiting job is removed on the spot.
-                if self.lps[site]
-                    .site
-                    .disks
-                    .iter()
-                    .any(|d| d.is_in_service(&id))
-                {
+            // Work that cannot be recalled — a dispatch frame on the wire,
+            // a page read in immutable FCFS service — is flagged; the
+            // delivery or `DiskDone` handler cancels instead of going on.
+            QueryPhase::Transfer => self.lps[site].query_mut(id).expired = true,
+            QueryPhase::Disk | QueryPhase::Cpu => {
+                if self.lps[site].evict(now, id, sink) {
+                    self.cancel_and_reallocate(now, id, site, sink);
+                } else {
                     self.lps[site].query_mut(id).expired = true;
-                    return;
                 }
-                let removed = self.lps[site]
-                    .site
-                    .disks
-                    .iter_mut()
-                    .find_map(|d| d.remove_waiting(now, &id));
-                debug_assert!(
-                    removed.is_some(),
-                    "Disk-phase query neither in service nor waiting"
-                );
-                self.cancel_and_reallocate(now, id, site, sink);
             }
         }
     }
@@ -2542,112 +2451,20 @@ impl DbSystem {
         sink: &mut dyn EventSink,
     ) {
         let spec = self.params.deadlines.expect("deadline layer active");
-        let (phase, exec, io_bound, class, home) = {
-            let q = self.lps[site].query_mut(id);
-            debug_assert!(!matches!(q.phase, QueryPhase::Return | QueryPhase::Backoff));
-            let phase = q.phase;
-            q.phase = QueryPhase::Backoff;
-            // The abandoned attempt's partial work is wasted, exactly as
-            // in a crash recovery; the armed expiry (if any) goes stale.
-            q.reads_done = 0;
-            q.service = 0.0;
-            q.expired = false;
-            q.deadline_epoch += 1;
-            (
-                phase,
-                q.exec,
-                q.profile.io_bound,
-                q.profile.class,
-                q.profile.home,
-            )
+        let (class, home) = {
+            let q = self.lps[site].query(id);
+            (q.profile.class, q.profile.home)
         };
-        if matches!(phase, QueryPhase::Disk | QueryPhase::Cpu) {
-            self.release_load_direct(now, exec, io_bound);
-        }
+        self.on_lp(now, site, sink, |lp, _, _| lp.abort_attempt(now, id));
         self.metrics.record_deadline_timeout(class);
         let id = self.move_query(id, site, home);
-        if self.resilience_retry_global(
-            now,
-            id,
-            home,
-            spec.backoff_base,
-            spec.max_reallocations,
-            RetryCounter::Deadline,
-            sink,
-        ) {
+        let (base, budget) = (spec.backoff_base, spec.max_reallocations);
+        if self.on_lp(now, home, sink, |lp, sh, sink| {
+            lp.resilience_retry(now, id, base, budget, RetryCounter::Deadline, sh, sink)
+        }) {
             self.metrics.record_deadline_reallocation(class);
         } else {
             self.metrics.record_deadline_abandoned(class);
-        }
-    }
-
-    /// Consumes one resilience retry for a query in `site`'s table
-    /// against the given budget: schedules a jittered-backoff `Resubmit`
-    /// and returns `true`, or sheds the query and returns `false` once
-    /// the budget is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn resilience_retry_global(
-        &mut self,
-        now: SimTime,
-        id: QueryId,
-        site: SiteId,
-        base: f64,
-        budget: u32,
-        counter: RetryCounter,
-        sink: &mut dyn EventSink,
-    ) -> bool {
-        // Same invariant as `resilience_retry_local`: only an active
-        // deadline or admission layer can route a query here.
-        assert!(
-            self.params.deadlines.is_some_and(|d| d.is_active())
-                || self.params.admission.is_some_and(|a| a.is_active()),
-            "resilience retry without an active deadline/admission layer"
-        );
-        let attempts = {
-            let q = self.lps[site].query_mut(id);
-            match counter {
-                RetryCounter::Deadline => {
-                    q.res_retries += 1;
-                    q.res_retries
-                }
-                RetryCounter::Admission => {
-                    q.adm_retries += 1;
-                    q.adm_retries
-                }
-            }
-        };
-        if attempts > budget {
-            self.shed_query_global(now, id, site, sink);
-            false
-        } else {
-            let exp = attempts.saturating_sub(1).min(16);
-            let delay = base
-                * f64::from(1u32 << exp)
-                * self.lps[site].rng_realloc_backoff.uniform(0.5, 1.5);
-            sink.schedule(now + delay, Event::Resubmit { query: id, site });
-            true
-        }
-    }
-
-    /// Removes a shed query (deadline abandonment). Closed model: the
-    /// terminal returns to thinking, preserving the closed population.
-    fn shed_query_global(
-        &mut self,
-        now: SimTime,
-        id: QueryId,
-        site: SiteId,
-        sink: &mut dyn EventSink,
-    ) {
-        let q = self.lps[site].take_query(id);
-        // A shed hedged primary dissolves its group (exactly one terminal
-        // outcome per logical query).
-        if let Some(group) = q.hedge_group {
-            self.dissolve_group(now, group, None, sink);
-        }
-        if matches!(self.params.workload, Workload::Closed) && q.kind != QueryKind::Propagation {
-            let home = q.profile.home;
-            let think = self.lps[home].rng_think.exponential(self.params.think_time);
-            sink.schedule(now + think, Event::Submit { site: home });
         }
     }
 
@@ -2712,46 +2529,6 @@ impl DbSystem {
         new_id
     }
 
-    /// Takes a load slot at `site` on behalf of a delivered dispatch
-    /// (both the LP's live row and the board move together).
-    fn alloc_load_direct(&mut self, now: SimTime, site: SiteId, io_bound: bool) {
-        let lp = &mut self.lps[site];
-        if io_bound {
-            lp.live.io += 1;
-        } else {
-            lp.live.cpu += 1;
-        }
-        self.board.allocate(site, io_bound);
-        self.metrics
-            .record_query_difference(now, self.board.query_difference());
-    }
-
-    /// Releases `site`'s load slot (both the LP's live row and the board).
-    fn release_load_direct(&mut self, now: SimTime, site: SiteId, io_bound: bool) {
-        let lp = &mut self.lps[site];
-        if io_bound {
-            lp.live.io -= 1;
-        } else {
-            lp.live.cpu -= 1;
-        }
-        self.board.release(site, io_bound);
-        self.metrics
-            .record_query_difference(now, self.board.query_difference());
-    }
-
-    /// Starts execution of a just-delivered query at `site` (barrier-time
-    /// entry into the LP's own `start_read`).
-    fn start_read_at(&mut self, now: SimTime, site: SiteId, id: QueryId, sink: &mut dyn EventSink) {
-        let sh = Shared {
-            params: &self.params,
-            catalog: &self.catalog,
-            board: &self.board,
-            disk_dist: self.disk_dist,
-            cross: None,
-        };
-        self.lps[site].start_read(now, id, &sh, sink);
-    }
-
     // ------------------------------------------------------------------
     // Redundancy (hedged replicate-to-n dispatch) machinery
     // ------------------------------------------------------------------
@@ -2779,46 +2556,22 @@ impl DbSystem {
         let gid = self.hedges.create(home, home, primary);
         self.lps[home].query_mut(primary).hedge_group = Some(gid);
         for &target in targets {
-            let phase = if target == home {
-                QueryPhase::Disk
-            } else {
-                QueryPhase::Transfer
-            };
-            let id = self.lps[home].queries.insert_with(|id| ActiveQuery {
-                id,
+            let lp = &mut self.lps[home];
+            let id = lp.insert_query(
                 profile,
-                exec: target,
+                target,
                 reads_total,
-                reads_done: 0,
                 submitted,
-                service: 0.0,
-                phase,
-                kind: QueryKind::Read,
-                retries: 0,
-                deadline_epoch: 0,
-                res_retries: 0,
-                adm_retries: 0,
-                expired: false,
-                deadline_at: SimTime::ZERO,
-                hedge_group: Some(gid),
-                hedge_dup: true,
-                hedge_cancelled: false,
-            });
+                QueryPhase::Transfer,
+                QueryKind::Read,
+            );
+            let q = lp.query_mut(id);
+            q.hedge_group = Some(gid);
+            q.hedge_dup = true;
             self.hedges.add_member(gid, home, id);
-            if target == home {
-                self.alloc_load_direct(now, home, profile.io_bound);
-                self.start_read_at(now, home, id, sink);
-            } else {
-                let msg = RingMsg::Query {
-                    query: id,
-                    kind: MsgKind::Dispatch,
-                    dest: target,
-                };
-                let cost = self.params.dispatch_cost(profile.class);
-                if let Some(done) = self.ring.send(now, home, msg, cost) {
-                    sink.schedule(done, Event::NetDone);
-                }
-            }
+            self.on_lp(now, home, sink, |lp, sh, sink| {
+                lp.place(now, id, target, sh, sink);
+            });
         }
     }
 
@@ -2829,52 +2582,38 @@ impl DbSystem {
     /// frame, partition) — the winner guard discards it here, the
     /// protocol's last line of defense against double counting.
     fn finish_hedged(&mut self, now: SimTime, id: QueryId, site: SiteId, sink: &mut dyn EventSink) {
-        let (gid, dup, home, class, reads_total) = {
+        let (gid, dup, home, io_bound) = {
             let q = self.lps[site].query(id);
             (
                 q.hedge_group.expect("hedged finish without a group"),
                 q.hedge_dup,
                 q.profile.home,
-                q.profile.class,
-                q.reads_total,
+                q.profile.io_bound,
             )
         };
+        // The reap frees the finished attempt's load slot (its phase is
+        // still Cpu); a winner frees it before cancelling the rest.
         if self.hedges.group(gid).decided {
-            let q = self.lps[site].take_query(id);
-            self.metrics.record_hedge_cancelled(q.service);
-            self.hedges.retire(gid, site, id);
+            self.on_lp(now, site, sink, |lp, _, _| lp.reap(now, id));
             return;
         }
+        self.on_lp(now, site, sink, |lp, _, _| lp.release_load(now, io_bound));
         if dup {
             self.metrics.record_hedge_win();
         }
         self.dissolve_group(now, gid, Some((site, id)), sink);
         if site == home {
-            let q = self.lps[site].take_query(id);
-            if q.retries > 0 {
-                self.metrics.record_recovered();
-            }
-            self.metrics
-                .record_completion(q.profile.class, now - q.submitted, q.service);
+            self.on_lp(now, site, sink, |lp, sh, sink| {
+                lp.finish(now, id, sh.params, sink);
+            });
             self.hedges.retire(gid, site, id);
-            if matches!(self.params.workload, Workload::Closed) {
-                let think = self.lps[home].rng_think.exponential(self.params.think_time);
-                sink.schedule(now + think, Event::Submit { site: home });
-            }
         } else {
             // The winner's results travel home like any remote execution;
             // its registry entry stays live until the result is delivered
             // (or the retry budget buries it).
-            self.lps[site].query_mut(id).phase = QueryPhase::Return;
-            let msg = RingMsg::Query {
-                query: id,
-                kind: MsgKind::Result,
-                dest: home,
-            };
-            let cost = self.params.result_cost(class, f64::from(reads_total));
-            if let Some(done) = self.ring.send(now, site, msg, cost) {
-                sink.schedule(done, Event::NetDone);
-            }
+            self.on_lp(now, site, sink, |lp, sh, _| {
+                lp.ship_result(now, id, sh.params)
+            });
         }
     }
 
@@ -2934,7 +2673,7 @@ impl DbSystem {
             QueryPhase::Transfer => {
                 self.lps[site].query_mut(id).hedge_cancelled = true;
             }
-            QueryPhase::Backoff => self.reap_attempt(now, id, site),
+            QueryPhase::Backoff => self.on_lp(now, site, sink, |lp, _, _| lp.reap(now, id)),
             QueryPhase::Disk | QueryPhase::Cpu => {
                 if site == home {
                     self.reap_resident(now, id, site, sink);
@@ -2982,58 +2721,14 @@ impl DbSystem {
     }
 
     /// Reaps a losing attempt resident at `site`'s stations (phase Disk
-    /// or Cpu), phase-exactly: a CPU job leaves the PS server (the next
-    /// completion reshuffles), a waiting disk job leaves its queue, and
-    /// an in-service page read — immutable under FCFS — is flagged and
-    /// reaped at its own `DiskDone`.
+    /// or Cpu) once [`Lp::evict`] pulls it off them; an in-service page
+    /// read — immutable under FCFS — is flagged and reaped at its own
+    /// `DiskDone`.
     fn reap_resident(&mut self, now: SimTime, id: QueryId, site: SiteId, sink: &mut dyn EventSink) {
-        let phase = self.lps[site].query(id).phase;
-        match phase {
-            QueryPhase::Cpu => {
-                if let Some((_unserved, Some((t, token)))) =
-                    self.lps[site].site.cpu.remove(now, &id)
-                {
-                    sink.schedule(t, Event::CpuDone { site, token });
-                }
-                self.reap_attempt(now, id, site);
-            }
-            QueryPhase::Disk => {
-                if self.lps[site]
-                    .site
-                    .disks
-                    .iter()
-                    .any(|d| d.is_in_service(&id))
-                {
-                    self.lps[site].query_mut(id).hedge_cancelled = true;
-                    return;
-                }
-                let removed = self.lps[site]
-                    .site
-                    .disks
-                    .iter_mut()
-                    .find_map(|d| d.remove_waiting(now, &id));
-                debug_assert!(
-                    removed.is_some(),
-                    "Disk-phase attempt neither in service nor waiting"
-                );
-                self.reap_attempt(now, id, site);
-            }
-            _ => unreachable!("reap_resident on non-resident phase {phase:?}"),
-        }
-    }
-
-    /// Removes a losing attempt's record, frees any load slot it held,
-    /// charges its partial work to the wasted-service counter, and
-    /// retires it from its group. The caller has already unwound any
-    /// station residency.
-    fn reap_attempt(&mut self, now: SimTime, id: QueryId, site: SiteId) {
-        let q = self.lps[site].take_query(id);
-        if matches!(q.phase, QueryPhase::Disk | QueryPhase::Cpu) {
-            self.release_load_direct(now, site, q.profile.io_bound);
-        }
-        self.metrics.record_hedge_cancelled(q.service);
-        if let Some(group) = q.hedge_group {
-            self.hedges.retire(group, site, id);
+        if self.lps[site].evict(now, id, sink) {
+            self.on_lp(now, site, sink, |lp, _, _| lp.reap(now, id));
+        } else {
+            self.lps[site].query_mut(id).hedge_cancelled = true;
         }
     }
 }
@@ -3254,7 +2949,9 @@ impl Model for DbSystem {
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event_site(&event) {
-            Some(site) => self.dispatch_lp(now, site, event, sched),
+            Some(site) => self.on_lp(now, site, sched, |lp, sh, sink| {
+                lp.handle(now, event, sh, sink);
+            }),
             None => self.handle_global(now, event, sched),
         }
     }

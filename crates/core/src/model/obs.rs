@@ -1,21 +1,24 @@
-//! Deferred metric/board observations from logical-process handlers.
+//! Deferred metric/board observations from logical-process methods.
 //!
 //! The parallel-in-time executor (DESIGN.md §12) runs one logical process
-//! (LP) per site, and LP event handlers may only touch their own site's
-//! state. Metrics and the shared load board are global, so handlers do not
+//! (LP) per site, and LP methods may only touch their own site's state.
+//! Metrics and the shared load board are global, so LP methods do not
 //! write them directly: they append `(time, Obs)` records to their LP's
 //! observation log, and the log is *applied* to the global structures with
-//! full access — immediately after the event in the serial executor, and
-//! at the next window barrier (merged across LPs in timestamp order) in
-//! the sharded executor. Because observation application is commutative
-//! across LPs at distinct timestamps, both schedules produce the same
-//! global state; ties are broken by `(time, lp index, log order)`, which
-//! matches the serial order except on measure-zero exact time collisions
-//! between different sites' events.
+//! full access. Every per-site lifecycle step is an LP method, whether an
+//! LP event or a barrier-time handler (a ring delivery, a crash, a hedge
+//! decision) runs it, and the serial executor applies the log right after
+//! each such call, so board and metric writes happen in call order.
 //!
-//! Barrier-time handlers (ring deliveries, crashes, partition edges) run
-//! with full access in both executors and mutate [`Metrics`] and the board
-//! directly — only per-LP handlers need the log.
+//! The sharded executor applies the logs of a window at its barrier,
+//! merged across LPs by `(time, lp index, log order)`. That is the serial
+//! order, except for events of two different sites at the same instant:
+//! the serial engine orders those by when they were scheduled, the
+//! barrier by site index (DESIGN.md §12).
+//!
+//! Barrier-time handlers write directly only what no LP owns: ring,
+//! partition and availability bookkeeping, deadline-outcome and hedge-win
+//! counters, and published board rows.
 
 use dqa_sim::SimTime;
 

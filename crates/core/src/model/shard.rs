@@ -8,31 +8,42 @@
 //! influence must ride a frame enqueued at `t` whose transmission alone
 //! takes at least Δ (ring queueing only adds delay).
 //!
-//! The executor exploits this with barrier-synchronized windows:
+//! The executor exploits this with barrier-synchronized windows. Every
+//! queued event is keyed by `(fire time, scheduling instant)`:
 //!
-//! 1. Let `tg` be the earliest pending *global* event (ring delivery,
-//!    crash, partition edge, …) and `tl` the earliest pending LP event.
-//! 2. If `tg ≤ tl`, run the global event with full access — exactly like
+//! 1. Let `g` be the key of the earliest pending *global* event (ring
+//!    delivery, crash, partition edge, …) and `l` that of the earliest
+//!    pending LP event, with `tl` its fire time.
+//! 2. If `g ≤ l`, run the global event with full access — exactly like
 //!    the serial executor.
-//! 3. Otherwise open the window `[tl, E)` with `E = min(tl + Δ, tg)`:
-//!    every LP drains its own events with `t < E` *in parallel*, touching
-//!    only its own state, reading the frozen board, and logging
+//! 3. Otherwise open a window ending at `E = min((tl + Δ, 0), g)`: every
+//!    LP drains its own events with keys below `E` *in parallel*,
+//!    touching only its own state, reading the frozen board, and logging
 //!    observations and outgoing frames.
 //! 4. At the barrier, merge all observation logs and outboxes across LPs
 //!    in `(time, site, log order)` order and apply them: observations
 //!    update the board/metrics, frames enter the ring (deliveries land at
-//!    `≥ send + Δ ≥ E`, so none can have been needed inside the window).
+//!    `≥ send + Δ`, so none can have been needed inside the window).
 //!
 //! Because each LP owns disjoint RNG streams ([`crate::substreams`]), the
 //! parallel schedule draws exactly the serial schedule's random numbers,
 //! and the barrier merge replays side effects in serial timestamp order —
 //! the resulting [`RunReport`](crate::experiment::RunReport) is
-//! byte-identical to the serial executor's. Ties between *different*
-//! sites' events at the exact same `f64` timestamp are broken
-//! (global-first, then by site index) instead of by serial insertion
-//! order; with continuous event-time distributions such cross-site
-//! collisions have measure zero. `tests/shard_determinism.rs` checks the
-//! bitwise guarantee end to end.
+//! byte-identical to the serial executor's. `tests/shard_determinism.rs`
+//! checks the bitwise guarantee end to end.
+//!
+//! # Ties
+//!
+//! At one instant the serial engine runs events in the order they were
+//! scheduled. Exact ties are not rare: costed status broadcasts fire on
+//! a fixed grid and frames cost fixed amounts, so a ring delivery can
+//! land on the very instant of another site's `StatusSend`. The key
+//! reproduces that order between the global queue and the LP queues: the
+//! side scheduled earlier runs first, and the global event when both
+//! were scheduled at the same instant. Within one LP's queue, insertion
+//! order is the serial order by construction. The one order the key does
+//! not decide is between two different sites' LP events at the same
+//! instant: their side effects merge by site index at the barrier.
 //!
 //! # What is shardable
 //!
@@ -211,10 +222,25 @@ impl From<ShardGate> for ShardError {
 // Event sinks
 // ----------------------------------------------------------------------
 
+/// A queued event and the instant it was scheduled. Each queue is stable
+/// on its own; across the global queue and the LP queues, the scheduling
+/// instant stands in for the serial engine's insertion order.
+struct Stamped {
+    scheduled: SimTime,
+    event: Event,
+}
+
+/// The `(fire time, scheduling instant)` key of a queue's next event.
+/// Events run in key order across queues; see [`ShardEngine::run_until`].
+fn head(queue: &EventQueue<Stamped>) -> Option<(SimTime, SimTime)> {
+    queue.peek().map(|(t, s)| (t, s.scheduled))
+}
+
 /// The window-time sink: accepts only the owning LP's events.
 struct LocalSink<'a> {
     site: SiteId,
-    queue: &'a mut EventQueue<Event>,
+    now: SimTime,
+    queue: &'a mut EventQueue<Stamped>,
 }
 
 impl EventSink for LocalSink<'_> {
@@ -224,22 +250,28 @@ impl EventSink for LocalSink<'_> {
             Some(self.site),
             "LP handler scheduled an event it does not own: {event:?}"
         );
-        self.queue.push(t, event);
+        let scheduled = self.now;
+        self.queue.push(t, Stamped { scheduled, event });
     }
 }
 
 /// The barrier-time sink: routes each event to its owning LP's local
 /// queue, or to the global queue.
 struct RouterSink<'a> {
-    global: &'a mut EventQueue<Event>,
-    locals: &'a mut [EventQueue<Event>],
+    now: SimTime,
+    global: &'a mut EventQueue<Stamped>,
+    locals: &'a mut [EventQueue<Stamped>],
 }
 
 impl EventSink for RouterSink<'_> {
     fn schedule(&mut self, t: SimTime, event: Event) {
+        let stamped = Stamped {
+            scheduled: self.now,
+            event,
+        };
         match event_site(&event) {
-            Some(site) => self.locals[site].push(t, event),
-            None => self.global.push(t, event),
+            Some(site) => self.locals[site].push(t, stamped),
+            None => self.global.push(t, stamped),
         }
     }
 }
@@ -248,28 +280,30 @@ impl EventSink for RouterSink<'_> {
 // Window draining (shared by the inline and worker paths)
 // ----------------------------------------------------------------------
 
-/// Drains one LP's local queue up to (strictly) `bound`, capped at the
-/// inclusive run `deadline`. Returns the number of events executed.
+/// Drains one LP's local queue of every event whose key (see [`head`])
+/// is below `bound`, capped at the inclusive run `deadline`. Returns the
+/// number of events executed.
 fn drain_window(
     lp: &mut Lp,
-    queue: &mut EventQueue<Event>,
+    queue: &mut EventQueue<Stamped>,
     sh: &Shared<'_>,
-    bound: SimTime,
+    bound: (SimTime, SimTime),
     deadline: SimTime,
 ) -> u64 {
     let mut steps = 0;
-    while let Some(t) = queue.peek_time() {
-        if t >= bound || t > deadline {
+    while let Some(key) = head(queue) {
+        if key >= bound || key.0 > deadline {
             break;
         }
-        let Some((now, event)) = queue.pop() else {
+        let Some((now, stamped)) = queue.pop() else {
             break;
         };
         let mut sink = LocalSink {
             site: lp.index,
+            now,
             queue,
         };
-        lp.handle(now, event, sh, &mut sink);
+        lp.handle(now, stamped.event, sh, &mut sink);
         steps += 1;
     }
     steps
@@ -285,9 +319,9 @@ fn drain_window(
 struct Task {
     idx: usize,
     lp: Lp,
-    queue: EventQueue<Event>,
+    queue: EventQueue<Stamped>,
     board: Arc<LoadTable>,
-    bound: SimTime,
+    bound: (SimTime, SimTime),
     deadline: SimTime,
 }
 
@@ -295,7 +329,7 @@ struct Task {
 struct Done {
     idx: usize,
     lp: Lp,
-    queue: EventQueue<Event>,
+    queue: EventQueue<Stamped>,
     steps: u64,
 }
 
@@ -412,9 +446,9 @@ pub struct ShardEngine {
     sys: DbSystem,
     /// Barrier-time events (ring deliveries, faults, free status
     /// exchanges, scripted actions).
-    global: EventQueue<Event>,
+    global: EventQueue<Stamped>,
     /// One local queue per LP, holding only that site's own events.
-    locals: Vec<EventQueue<Event>>,
+    locals: Vec<EventQueue<Stamped>>,
     /// The conservative lookahead Δ.
     delta: f64,
     now: SimTime,
@@ -443,9 +477,10 @@ impl ShardEngine {
         let delta = lookahead(&sys.params);
         let n = sys.params.num_sites;
         let mut global = EventQueue::new();
-        let mut locals: Vec<EventQueue<Event>> = (0..n).map(|_| EventQueue::new()).collect();
+        let mut locals: Vec<EventQueue<Stamped>> = (0..n).map(|_| EventQueue::new()).collect();
         for (t, event) in sys.initial_events() {
             let mut router = RouterSink {
+                now: SimTime::ZERO,
                 global: &mut global,
                 locals: &mut locals,
             };
@@ -495,53 +530,53 @@ impl ShardEngine {
 
     /// Runs every event with `t ≤ deadline`, then advances the clock to
     /// `deadline` — the same contract as `Engine::run_until`.
+    ///
+    /// Events run in `(time, scheduling instant)` order across the global
+    /// queue and the LP queues, which is the serial engine's order: at
+    /// one instant it runs events in the order they were scheduled. On a
+    /// full tie the global event runs first.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            let tg = self.global.peek_time();
-            let tl = self
-                .locals
-                .iter()
-                .filter_map(EventQueue::peek_time)
-                .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            // Global events run first on exact ties: the window bound is
-            // exclusive, so an LP event at the same instant waits one
-            // iteration.
-            let global_next = match (tg, tl) {
+            let g = head(&self.global);
+            let l = self.locals.iter().filter_map(head).min();
+            let global_next = match (g, l) {
                 (None, None) => break,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (Some(g), Some(l)) => g <= l,
             };
             if global_next {
-                let Some(t) = tg else { break };
+                let Some((t, _)) = g else { break };
                 if t > deadline {
                     break;
                 }
-                let Some((now, event)) = self.global.pop() else {
+                let Some((now, stamped)) = self.global.pop() else {
                     break;
                 };
                 self.now = now;
                 {
                     let mut router = RouterSink {
+                        now,
                         global: &mut self.global,
                         locals: &mut self.locals,
                     };
-                    self.sys.handle_global(now, event, &mut router);
+                    self.sys.handle_global(now, stamped.event, &mut router);
                 }
                 self.steps += 1;
             } else {
-                let Some(start) = tl else { break };
+                let Some((start, _)) = l else { break };
                 if start > deadline {
                     break;
                 }
-                let mut bound = start + self.delta;
-                if let Some(g) = tg {
-                    if g < bound {
-                        bound = g;
-                    }
+                // The window ends Δ after its first event, or just before
+                // the next global event: LP events at that event's instant
+                // run in the window only if they were scheduled earlier.
+                let mut bound = (start + self.delta, SimTime::ZERO);
+                if let Some(g) = g {
+                    bound = bound.min(g);
                 }
                 self.run_window(bound, deadline);
-                self.now = if bound < deadline { bound } else { deadline };
+                self.now = bound.0.min(deadline);
             }
         }
         if deadline > self.now {
@@ -549,14 +584,14 @@ impl ShardEngine {
         }
     }
 
-    /// Opens one window: drains every LP's events in `[·, bound)` (capped
-    /// at `deadline`) in parallel, then merges side effects at the
-    /// barrier.
-    fn run_window(&mut self, bound: SimTime, deadline: SimTime) {
+    /// Opens one window: drains every LP's events with keys below
+    /// `bound` (capped at `deadline`) in parallel, then merges side
+    /// effects at the barrier.
+    fn run_window(&mut self, bound: (SimTime, SimTime), deadline: SimTime) {
         self.active.clear();
         for (i, q) in self.locals.iter().enumerate() {
-            if let Some(t) = q.peek_time() {
-                if t < bound && t <= deadline {
+            if let Some(key) = head(q) {
+                if key < bound && key.0 <= deadline {
                     self.active.push(i);
                 }
             }
@@ -589,7 +624,7 @@ impl ShardEngine {
 
     /// Ships each active LP (and its queue) to a pool worker and swaps
     /// the results back in as they land.
-    fn run_window_pooled(&mut self, bound: SimTime, deadline: SimTime) {
+    fn run_window_pooled(&mut self, bound: (SimTime, SimTime), deadline: SimTime) {
         let board = Arc::new(self.sys.board.clone());
         let Some(pool) = &self.pool else {
             unreachable!("pooled window without a pool");
@@ -639,8 +674,9 @@ impl ShardEngine {
 
     /// The barrier: merges every active LP's observation log and outbox
     /// across sites in `(time, site, log order)` order — the serial
-    /// executor's flush order up to measure-zero cross-site time ties —
-    /// and applies them to the board, metrics, and ring.
+    /// executor's flush order except between two sites' events at the
+    /// same instant (see the module docs) — and applies them to the
+    /// board, metrics, and ring.
     fn barrier_flush(&mut self) {
         self.merged_obs.clear();
         self.merged_out.clear();
@@ -674,7 +710,11 @@ impl ShardEngine {
         });
         for &(t, from, _, msg, cost) in &self.merged_out {
             if let Some(done) = self.sys.ring.send(t, from, msg, cost) {
-                self.global.push(done, Event::NetDone);
+                let stamped = Stamped {
+                    scheduled: t,
+                    event: Event::NetDone,
+                };
+                self.global.push(done, stamped);
             }
         }
     }

@@ -78,7 +78,6 @@ mod time;
 pub mod random;
 pub mod stats;
 pub mod testkit;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use queue::EventQueue;

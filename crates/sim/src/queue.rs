@@ -99,6 +99,14 @@ impl<E> EventQueue<E> {
         self.entries.first().map(|e| e.time)
     }
 
+    /// Returns the earliest pending event and its timestamp without
+    /// removing it.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.entries.first().map(|e| (e.time, &e.payload))
+    }
+
     /// Returns the number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -197,6 +205,17 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn peek_shows_the_earliest_payload() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek(), None);
+        q.push(SimTime::new(2.0), "late");
+        q.push(SimTime::new(1.0), "early");
+        q.push(SimTime::new(1.0), "early-second");
+        assert_eq!(q.peek(), Some((SimTime::new(1.0), &"early")));
+        assert_eq!(q.len(), 3);
     }
 
     #[test]

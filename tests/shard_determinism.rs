@@ -13,7 +13,7 @@ use dqa_core::experiment::{run, run_sharded, RunConfig, RunReport};
 use dqa_core::model::shard::{lookahead, shardable, ShardError, ShardGate};
 use dqa_core::params::{
     AdmissionSpec, ClassSpec, DeadlineSpec, FaultSpec, MessageCosting, MigrationSpec,
-    RedundancySpec, SuspicionSpec, SystemParams, SystemParamsBuilder,
+    RedundancySpec, ScriptAction, ScriptEntry, SuspicionSpec, SystemParams, SystemParamsBuilder,
 };
 use dqa_core::policy::PolicyKind;
 
@@ -145,6 +145,62 @@ fn migration_and_update_runs_are_bitwise_identical() {
         .build()
         .expect("valid params");
     assert_shard_identical(&config(params, PolicyKind::Bnq), "Bnq migration+updates");
+}
+
+#[test]
+fn exact_delivery_and_broadcast_ties_are_bitwise_identical() {
+    // Costed broadcasts fire on a fixed grid and frames cost fixed
+    // amounts, so a ring delivery (a global event) can land on the very
+    // f64 instant of another site's `StatusSend` (an LP event). The
+    // serial engine runs whichever was scheduled first — here the
+    // broadcast, scheduled a whole period earlier — and so must every
+    // worker count. This is the perf ledger's `board_updates` shape.
+    let params = SystemParams::builder()
+        .status_period(40.0)
+        .status_msg_length(1.0)
+        .copies(Some(3))
+        .update_fraction(0.3)
+        .build()
+        .expect("valid params");
+    for policy in [PolicyKind::Bnq, PolicyKind::Lert] {
+        let config = RunConfig::new(params.clone(), policy)
+            .seed(1)
+            .windows(500.0, 3_000.0);
+        let serial = run(&config).expect("serial run");
+        for jobs in [1, 2] {
+            let sharded = run_sharded(&config, jobs).expect("sharded run");
+            assert_identical(&serial, &sharded, &format!("{policy:?} tie"), jobs);
+        }
+    }
+}
+
+#[test]
+fn scripted_actions_tied_with_broadcasts_run_in_schedule_order() {
+    // Site 1 broadcasts at 20, 60, 100, … (period 40 over four sites,
+    // every instant exact in binary), and the script crashes and repairs
+    // it on two of those instants. The script entries were scheduled at
+    // time zero, long before the broadcasts, so the serial engine runs
+    // them first: the site is already down for its broadcast at 460 and
+    // already back for the one at 900. Running LP events first on an
+    // exact tie would flip both.
+    let at = |at: f64, action: ScriptAction| ScriptEntry { at, action };
+    let params = SystemParams::builder()
+        .num_sites(4)
+        .mpl(4)
+        .think_time(100.0)
+        .status_period(40.0)
+        .status_msg_length(0.8)
+        .faults(Some(FaultSpec {
+            max_retries: 4,
+            ..FaultSpec::default()
+        }))
+        .script(vec![
+            at(460.0, ScriptAction::SiteDown(1)),
+            at(900.0, ScriptAction::SiteUp(1)),
+        ])
+        .build()
+        .expect("valid params");
+    assert_shard_identical(&config(params, PolicyKind::Bnq), "Bnq scripted ties");
 }
 
 #[test]
