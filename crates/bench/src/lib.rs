@@ -1,8 +1,7 @@
 //! # dqa-bench — the experiment harness regenerating every paper table
 //!
 //! One binary per table of Carey/Livny/Lu 1984, plus ablation binaries for
-//! the design choices called out in `DESIGN.md`, plus wall-clock timing
-//! benches of the simulation kernels (see [`timing`]).
+//! the design choices called out in `DESIGN.md`.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod paper;
-pub mod timing;
 
 use dqa_core::experiment::{run_replicated, run_replicated_jobs, Replicated, RunConfig};
 use dqa_core::parallel;

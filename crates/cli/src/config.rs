@@ -1,6 +1,9 @@
 //! Shared flag handling: building [`SystemParams`] and policies from
 //! command-line flags.
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 use dqa_core::params::{
     AdmissionSpec, ArrivalSpec, DeadlineSpec, DiskChoice, FaultSpec, MessageCosting, MigrationSpec,
     RedundancySpec, SheddingMode, SuspicionSpec, SystemParams, UserSpec, Workload,
@@ -41,59 +44,39 @@ pub fn parse_policy(name: &str) -> Result<PolicyKind, ArgError> {
 /// Consumes the system-parameter flags shared by every simulation
 /// subcommand and builds validated [`SystemParams`].
 ///
-/// Flags (all optional, defaults are the paper's base configuration):
-/// `--sites`, `--disks`, `--mpl`, `--think`, `--io-prob`, `--io-cpu`,
-/// `--cpu-cpu`, `--msg`, `--reads`, `--disk-choice random|rr|jsq`,
-/// `--estimate-error`, `--status-period`, `--status-msg`, `--relations`,
-/// `--copies`, `--migrate every,gain,growth`, and the fault-injection
-/// family `--fault-mtbf`, `--fault-mttr`, `--msg-loss`, `--status-loss`,
-/// `--fault-retries`, `--fault-backoff`, `--partition-at`,
-/// `--partition-for`, `--partition-groups` (any of which enables the
-/// fault layer; unspecified members take [`FaultSpec::default`] values).
-///
-/// Resilience layers (each family independently optional):
-/// deadlines via `--deadline-mean`, `--deadline-floor`,
-/// `--deadline-retries`, `--deadline-backoff`; failure suspicion via
-/// `--suspect-after`, `--suspect-probation` (requires a costed status
-/// broadcast); admission control via `--admission-cap`,
-/// `--admission-queue`, `--admission-mode reject|redirect|drop`,
-/// `--admission-retries`, `--admission-backoff`; redundancy-aware
-/// dispatch via `--redundancy N` (the replication level, active at 2+)
-/// with refinements `--redundancy-prob`, `--redundancy-load-cap`,
-/// `--redundancy-full-frac`.
-///
-/// Live-service layers (require `--open-rate`): time-varying arrivals
-/// via `--live-diurnal AMP` (+ `--live-period P`),
-/// `--live-flash at,for,mult`, `--live-burst mult,on,off` (any of which
-/// enables the nonhomogeneous arrival kernel); the user population via
-/// `--live-users N` with refinements `--live-zipf`, `--live-session`,
-/// `--live-affinity`.
+/// Every flag is optional and writes one field of
+/// [`SystemParams::paper_base`] or of an extension spec's `Default`;
+/// `--detailed-msg`, `--live-flash`, `--live-burst` and `--migrate` take
+/// comma-separated tuples. An extension layer switches on with its
+/// enabling flag — any fault flag, `--deadline-mean`, either suspicion
+/// flag, `--admission-cap`/`--admission-queue`, `--redundancy`, any of
+/// `--live-diurnal`/`--live-flash`/`--live-burst`, `--live-users`,
+/// `--migrate` — and refinement flags without it are rejected. `dqa help`
+/// and README.md list the flags.
 ///
 /// # Errors
 ///
 /// Propagates parse failures and parameter-validation failures with the
 /// offending flag named.
 pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
-    let mut b = SystemParams::builder();
-    b = b.num_sites(args.take_or("sites", 6usize)?);
-    b = b.num_disks(args.take_or("disks", 2u32)?);
-    b = b.mpl(args.take_or("mpl", 20u32)?);
-    b = b.think_time(args.take_or("think", 350.0f64)?);
-    b = b.two_class(
-        args.take_or("io-prob", 0.5f64)?,
-        args.take_or("io-cpu", 0.05f64)?,
-        args.take_or("cpu-cpu", 1.0f64)?,
-    );
-    b = b.msg_length(args.take_or("msg", 1.0f64)?);
+    let mut p = SystemParams::paper_base();
+    set(args, "sites", &mut p.num_sites)?;
+    set(args, "disks", &mut p.num_disks)?;
+    set(args, "mpl", &mut p.mpl)?;
+    set(args, "think", &mut p.think_time)?;
+    if set(args, "io-prob", &mut p.classes[0].probability)? {
+        p.classes[1].probability = 1.0 - p.classes[0].probability;
+    }
+    set(args, "io-cpu", &mut p.classes[0].page_cpu_time)?;
+    set(args, "cpu-cpu", &mut p.classes[1].page_cpu_time)?;
+    set(args, "msg", &mut p.msg_length)?;
     if let Some(reads) = args.take_opt::<f64>("reads")? {
-        let mut params = b.build().map_err(|e| ArgError(e.to_string()))?;
-        for class in &mut params.classes {
+        for class in &mut p.classes {
             class.num_reads = reads;
         }
-        b = builder_from(params);
     }
     if let Some(choice) = args.take("disk-choice") {
-        let parsed = match choice.as_str() {
+        p.disk_choice = match choice.as_str() {
             "random" => DiskChoice::Random,
             "rr" | "round-robin" => DiskChoice::RoundRobin,
             "jsq" | "shortest-queue" => DiskChoice::ShortestQueue,
@@ -103,103 +86,65 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
                 )))
             }
         };
-        b = b.disk_choice(parsed);
     }
-    b = b.estimate_error(args.take_or("estimate-error", 0.0f64)?);
-    b = b.status_period(args.take_or("status-period", 0.0f64)?);
-    b = b.status_msg_length(args.take_or("status-msg", 0.0f64)?);
-    b = b.num_relations(args.take_or("relations", 12usize)?);
-    if let Some(copies) = args.take_opt::<u32>("copies")? {
-        b = b.copies(Some(copies));
+    set(args, "estimate-error", &mut p.estimate_error)?;
+    set(args, "status-period", &mut p.status_period)?;
+    set(args, "status-msg", &mut p.status_msg_length)?;
+    set(args, "relations", &mut p.num_relations)?;
+    p.copies = args.take_opt("copies")?;
+    if let Some([msg_time, page_size]) = tuple(args, "detailed-msg", "msg_time,page_size")? {
+        p.message_costing = MessageCosting::Detailed {
+            msg_time: part(&msg_time, "msg_time")?,
+            page_size: part(&page_size, "page_size")?,
+        };
     }
-    if let Some(spec) = args.take("detailed-msg") {
-        let parts: Vec<&str> = spec.split(',').collect();
-        if parts.len() != 2 {
-            return Err(ArgError(format!(
-                "--detailed-msg expects `msg_time,page_size`, got `{spec}`"
-            )));
-        }
-        let msg_time = parts[0]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid msg_time: {e}")))?;
-        let page_size = parts[1]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid page_size: {e}")))?;
-        b = b.message_costing(MessageCosting::Detailed {
-            msg_time,
-            page_size,
-        });
+    if let Some(arrival_rate) = args.take_opt("open-rate")? {
+        p.workload = Workload::Open { arrival_rate };
     }
-    if let Some(rate) = args.take_opt::<f64>("open-rate")? {
-        b = b.workload(Workload::Open { arrival_rate: rate });
-    }
-    b = b.update_fraction(args.take_or("update-frac", 0.0f64)?);
-    b = b.propagation_factor(args.take_or("prop-factor", 0.5f64)?);
+    set(args, "update-frac", &mut p.update_fraction)?;
+    set(args, "prop-factor", &mut p.propagation_factor)?;
     if let Some(speeds) = args.take("cpu-speeds") {
-        let parsed: Result<Vec<f64>, _> = speeds.split(',').map(str::parse).collect();
-        let parsed = parsed.map_err(|e| ArgError(format!("invalid --cpu-speeds list: {e}")))?;
-        b = b.cpu_speeds(Some(parsed));
+        let speeds = speeds.split(',').map(|s| part(s, "--cpu-speeds list"));
+        p.cpu_speeds = Some(speeds.collect::<Result<_, _>>()?);
     }
     // Fault-injection flags: any one of them switches the layer on.
-    let fault_mtbf = args.take_opt::<f64>("fault-mtbf")?;
-    let fault_mttr = args.take_opt::<f64>("fault-mttr")?;
-    let msg_loss = args.take_opt::<f64>("msg-loss")?;
-    let status_loss = args.take_opt::<f64>("status-loss")?;
-    let fault_retries = args.take_opt::<u32>("fault-retries")?;
-    let fault_backoff = args.take_opt::<f64>("fault-backoff")?;
-    let partition_at = args.take_opt::<f64>("partition-at")?;
-    let partition_for = args.take_opt::<f64>("partition-for")?;
-    let partition_groups = args.take_opt::<u32>("partition-groups")?;
-    if (partition_for.is_some_and(|v| v > 0.0) || partition_at.is_some())
-        && partition_groups.is_none_or(|g| g < 2)
-    {
+    let mut faults = FaultSpec::default();
+    let mut faulty = set(args, "fault-mtbf", &mut faults.mtbf)?;
+    faulty |= set(args, "fault-mttr", &mut faults.mttr)?;
+    faulty |= set(args, "msg-loss", &mut faults.msg_loss)?;
+    faulty |= set(args, "status-loss", &mut faults.status_loss)?;
+    faulty |= set(args, "fault-retries", &mut faults.max_retries)?;
+    faulty |= set(args, "fault-backoff", &mut faults.backoff_base)?;
+    let partition_at = set(args, "partition-at", &mut faults.partition_at)?;
+    faulty |= partition_at;
+    faulty |= set(args, "partition-for", &mut faults.partition_for)?;
+    faulty |= set(args, "partition-groups", &mut faults.partition_groups)?;
+    if (faults.partition_for > 0.0 || partition_at) && faults.partition_groups < 2 {
         return Err(ArgError(
             "an injected partition needs --partition-groups of at least 2 \
              alongside --partition-at/--partition-for"
                 .into(),
         ));
     }
-    if partition_groups.is_some_and(|g| g >= 2) && !partition_for.is_some_and(|v| v > 0.0) {
+    if faults.partition_groups >= 2 && !faults.has_partition() {
         return Err(ArgError(
             "--partition-groups does nothing without a positive --partition-for \
              (the partition's duration)"
                 .into(),
         ));
     }
-    if fault_mtbf.is_some()
-        || fault_mttr.is_some()
-        || msg_loss.is_some()
-        || status_loss.is_some()
-        || fault_retries.is_some()
-        || fault_backoff.is_some()
-        || partition_at.is_some()
-        || partition_for.is_some()
-        || partition_groups.is_some()
-    {
-        let defaults = FaultSpec::default();
-        b = b.faults(Some(FaultSpec {
-            mtbf: fault_mtbf.unwrap_or(defaults.mtbf),
-            mttr: fault_mttr.unwrap_or(defaults.mttr),
-            msg_loss: msg_loss.unwrap_or(defaults.msg_loss),
-            status_loss: status_loss.unwrap_or(defaults.status_loss),
-            max_retries: fault_retries.unwrap_or(defaults.max_retries),
-            backoff_base: fault_backoff.unwrap_or(defaults.backoff_base),
-            partition_at: partition_at.unwrap_or(defaults.partition_at),
-            partition_for: partition_for.unwrap_or(defaults.partition_for),
-            partition_groups: partition_groups.unwrap_or(defaults.partition_groups),
-        }));
+    if faulty {
+        p.faults = Some(faults);
     }
     // Deadline flags: --deadline-mean switches the layer on; the others
     // refine it and are meaningless (and rejected) without it.
-    let deadline_mean = args.take_opt::<f64>("deadline-mean")?;
-    let deadline_floor = args.take_opt::<f64>("deadline-floor")?;
-    let deadline_retries = args.take_opt::<u32>("deadline-retries")?;
-    let deadline_backoff = args.take_opt::<f64>("deadline-backoff")?;
-    let deadline_active = deadline_mean.is_some_and(|m| m > 0.0);
-    if !deadline_active
-        && (deadline_floor.is_some() || deadline_retries.is_some() || deadline_backoff.is_some())
-    {
-        let given = if deadline_mean.is_some() {
+    let mut deadlines = DeadlineSpec::default();
+    let mean = set(args, "deadline-mean", &mut deadlines.mean)?;
+    let mut refined = set(args, "deadline-floor", &mut deadlines.floor)?;
+    refined |= set(args, "deadline-retries", &mut deadlines.max_reallocations)?;
+    refined |= set(args, "deadline-backoff", &mut deadlines.backoff_base)?;
+    if !deadlines.is_active() && refined {
+        let given = if mean {
             "--deadline-mean 0 disables deadlines"
         } else {
             "no --deadline-mean was given"
@@ -210,49 +155,44 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
              deadlines, or drop the other deadline flags"
         )));
     }
-    if deadline_active {
-        let defaults = DeadlineSpec::default();
-        b = b.deadlines(Some(DeadlineSpec {
-            mean: deadline_mean.unwrap_or(defaults.mean),
-            floor: deadline_floor.unwrap_or(defaults.floor),
-            max_reallocations: deadline_retries.unwrap_or(defaults.max_reallocations),
-            backoff_base: deadline_backoff.unwrap_or(defaults.backoff_base),
-        }));
+    if mean {
+        p.deadlines = Some(deadlines);
     }
     // Suspicion flags: either one switches the detector on.
-    let suspect_after = args.take_opt::<u32>("suspect-after")?;
-    let suspect_probation = args.take_opt::<u32>("suspect-probation")?;
-    if suspect_after.is_some() || suspect_probation.is_some() {
-        let defaults = SuspicionSpec::default();
-        b = b.suspicion(Some(SuspicionSpec {
-            threshold: suspect_after.unwrap_or(defaults.threshold),
-            probation: suspect_probation.unwrap_or(defaults.probation),
-        }));
+    let mut suspicion = SuspicionSpec::default();
+    let mut suspects = set(args, "suspect-after", &mut suspicion.threshold)?;
+    suspects |= set(args, "suspect-probation", &mut suspicion.probation)?;
+    if suspects {
+        p.suspicion = Some(suspicion);
     }
     // Admission flags: a cap or a queue limit switches the layer on; the
     // shedding mode and retry knobs refine it.
-    let admission_cap = args.take_opt::<u32>("admission-cap")?;
-    let admission_queue = args.take_opt::<u32>("admission-queue")?;
-    let admission_mode = args.take("admission-mode");
-    let admission_retries = args.take_opt::<u32>("admission-retries")?;
-    let admission_backoff = args.take_opt::<f64>("admission-backoff")?;
-    if admission_cap == Some(0) {
+    let mut admission = AdmissionSpec {
+        mpl_cap: args.take_opt("admission-cap")?,
+        queue_limit: args.take_opt("admission-queue")?,
+        ..AdmissionSpec::default()
+    };
+    let mode = args.take("admission-mode");
+    let mut refined = set(args, "admission-retries", &mut admission.max_retries)?;
+    refined |= set(args, "admission-backoff", &mut admission.backoff_base)?;
+    if admission.mpl_cap == Some(0) {
         return Err(ArgError(
             "--admission-cap must be at least 1 (a cap of 0 would admit nothing); \
              omit the flag to disable the MPL cap"
                 .into(),
         ));
     }
-    if admission_queue == Some(0) {
+    if admission.queue_limit == Some(0) {
         return Err(ArgError(
             "--admission-queue must be at least 1 (a limit of 0 would admit \
              nothing); omit the flag to disable the queue limit"
                 .into(),
         ));
     }
-    if admission_cap.is_some() || admission_queue.is_some() {
-        let mode = match admission_mode.as_deref() {
-            None | Some("reject") => SheddingMode::RejectRetry,
+    if admission.is_active() {
+        admission.mode = match mode.as_deref() {
+            None => admission.mode,
+            Some("reject") => SheddingMode::RejectRetry,
             Some("redirect") => SheddingMode::Redirect,
             Some("drop") => SheddingMode::Drop,
             Some(other) => {
@@ -261,16 +201,8 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
                 )))
             }
         };
-        let defaults = AdmissionSpec::default();
-        b = b.admission(Some(AdmissionSpec {
-            mpl_cap: admission_cap,
-            queue_limit: admission_queue,
-            mode,
-            max_retries: admission_retries.unwrap_or(defaults.max_retries),
-            backoff_base: admission_backoff.unwrap_or(defaults.backoff_base),
-        }));
-    } else if admission_mode.is_some() || admission_retries.is_some() || admission_backoff.is_some()
-    {
+        p.admission = Some(admission);
+    } else if mode.is_some() || refined {
         return Err(ArgError(
             "--admission-mode/--admission-retries/--admission-backoff have no \
              effect without --admission-cap or --admission-queue; add a cap or \
@@ -284,17 +216,13 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
     // rejected) without it. A bare `--redundancy 1` keeps an inert spec
     // in the params — useful for byte-identity checks, since an inert
     // spec draws nothing from the RNG.
-    let redundancy = args.take_opt::<u32>("redundancy")?;
-    let redundancy_prob = args.take_opt::<f64>("redundancy-prob")?;
-    let redundancy_load_cap = args.take_opt::<f64>("redundancy-load-cap")?;
-    let redundancy_full_frac = args.take_opt::<f64>("redundancy-full-frac")?;
-    let redundancy_active = redundancy.is_some_and(|n| n >= 2);
-    if !redundancy_active
-        && (redundancy_prob.is_some()
-            || redundancy_load_cap.is_some()
-            || redundancy_full_frac.is_some())
-    {
-        let given = if redundancy.is_some() {
+    let mut redundancy = RedundancySpec::default();
+    let level = set(args, "redundancy", &mut redundancy.max_level)?;
+    let mut refined = set(args, "redundancy-prob", &mut redundancy.hedge_prob)?;
+    refined |= set(args, "redundancy-load-cap", &mut redundancy.load_threshold)?;
+    refined |= set(args, "redundancy-full-frac", &mut redundancy.full_threshold)?;
+    if redundancy.max_level < 2 && refined {
+        let given = if level {
             "--redundancy below 2 disables hedging"
         } else {
             "no --redundancy was given"
@@ -305,82 +233,44 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
              hedged dispatch, or drop the refinement flags"
         )));
     }
-    if let Some(level) = redundancy {
-        let defaults = RedundancySpec::default();
-        b = b.redundancy(Some(RedundancySpec {
-            max_level: level,
-            hedge_prob: redundancy_prob.unwrap_or(defaults.hedge_prob),
-            load_threshold: redundancy_load_cap.unwrap_or(defaults.load_threshold),
-            full_threshold: redundancy_full_frac.unwrap_or(defaults.full_threshold),
-        }));
+    if level {
+        p.redundancy = Some(redundancy);
     }
     // Live-service arrival flags: any of --live-diurnal, --live-flash,
     // --live-burst switches the time-varying arrival layer on.
-    let live_diurnal = args.take_opt::<f64>("live-diurnal")?;
-    let live_period = args.take_opt::<f64>("live-period")?;
-    let live_flash = args.take("live-flash");
-    let live_burst = args.take("live-burst");
-    if live_period.is_some() && live_diurnal.is_none() {
+    let mut arrivals = ArrivalSpec::default();
+    let mut modulated = set(args, "live-diurnal", &mut arrivals.diurnal_amplitude)?;
+    if set(args, "live-period", &mut arrivals.diurnal_period)? && !modulated {
         return Err(ArgError(
             "--live-period has no effect without --live-diurnal (the diurnal \
              amplitude); add --live-diurnal or drop --live-period"
                 .into(),
         ));
     }
-    if live_diurnal.is_some() || live_flash.is_some() || live_burst.is_some() {
-        let mut spec = ArrivalSpec::default();
-        if let Some(amp) = live_diurnal {
-            spec.diurnal_amplitude = amp;
-        }
-        if let Some(period) = live_period {
-            spec.diurnal_period = period;
-        }
-        if let Some(flash) = live_flash {
-            let parts: Vec<&str> = flash.split(',').collect();
-            if parts.len() != 3 {
-                return Err(ArgError(format!(
-                    "--live-flash expects `at,for,mult`, got `{flash}`"
-                )));
-            }
-            spec.flash_at = parts[0]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash start: {e}")))?;
-            spec.flash_for = parts[1]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash duration: {e}")))?;
-            spec.flash_multiplier = parts[2]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash multiplier: {e}")))?;
-        }
-        if let Some(burst) = live_burst {
-            let parts: Vec<&str> = burst.split(',').collect();
-            if parts.len() != 3 {
-                return Err(ArgError(format!(
-                    "--live-burst expects `mult,on,off`, got `{burst}`"
-                )));
-            }
-            spec.burst_multiplier = parts[0]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst multiplier: {e}")))?;
-            spec.burst_on_mean = parts[1]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst on-dwell: {e}")))?;
-            spec.burst_off_mean = parts[2]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst off-dwell: {e}")))?;
-        }
-        b = b.arrivals(Some(spec));
+    if let Some([at, duration, mult]) = tuple(args, "live-flash", "at,for,mult")? {
+        arrivals.flash_at = part(&at, "flash start")?;
+        arrivals.flash_for = part(&duration, "flash duration")?;
+        arrivals.flash_multiplier = part(&mult, "flash multiplier")?;
+        modulated = true;
+    }
+    if let Some([mult, on, off]) = tuple(args, "live-burst", "mult,on,off")? {
+        arrivals.burst_multiplier = part(&mult, "burst multiplier")?;
+        arrivals.burst_on_mean = part(&on, "burst on-dwell")?;
+        arrivals.burst_off_mean = part(&off, "burst off-dwell")?;
+        modulated = true;
+    }
+    if modulated {
+        p.arrivals = Some(arrivals);
     }
     // User-population flags: --live-users switches the population on; the
     // others refine it and are meaningless without it.
-    let live_users = args.take_opt::<u64>("live-users")?;
-    let live_zipf = args.take_opt::<f64>("live-zipf")?;
-    let live_session = args.take_opt::<f64>("live-session")?;
-    let live_affinity = args.take_opt::<f64>("live-affinity")?;
-    if live_users.is_none_or(|n| n == 0)
-        && (live_zipf.is_some() || live_session.is_some() || live_affinity.is_some())
-    {
-        let given = if live_users.is_some() {
+    let mut users = UserSpec::default();
+    let counted = set(args, "live-users", &mut users.total_users)?;
+    let mut refined = set(args, "live-zipf", &mut users.zipf_exponent)?;
+    refined |= set(args, "live-session", &mut users.session_mean)?;
+    refined |= set(args, "live-affinity", &mut users.class_affinity)?;
+    if !users.is_active() && refined {
+        let given = if counted {
             "--live-users 0 disables the population"
         } else {
             "no --live-users was given"
@@ -391,38 +281,62 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
              population, or drop the other live-user flags"
         )));
     }
-    if live_users.is_some_and(|n| n > 0) {
-        let defaults = UserSpec::default();
-        b = b.users(Some(UserSpec {
-            total_users: live_users.unwrap_or(0),
-            zipf_exponent: live_zipf.unwrap_or(defaults.zipf_exponent),
-            session_mean: live_session.unwrap_or(defaults.session_mean),
-            class_affinity: live_affinity.unwrap_or(defaults.class_affinity),
-        }));
+    if users.is_active() {
+        p.users = Some(users);
     }
-    if let Some(spec) = args.take("migrate") {
-        let parts: Vec<&str> = spec.split(',').collect();
-        if parts.len() != 3 {
-            return Err(ArgError(format!(
-                "--migrate expects `every,gain,growth`, got `{spec}`"
-            )));
+    if let Some([every, gain, growth]) = tuple(args, "migrate", "every,gain,growth")? {
+        p.migration = Some(MigrationSpec {
+            check_every_reads: part(&every, "migrate interval")?,
+            min_gain: part(&gain, "migrate gain")?,
+            state_growth: part(&growth, "migrate growth")?,
+        });
+    }
+    p.validate().map_err(|e| ArgError(e.to_string()))?;
+    // A bare `--deadline-mean 0` is the legal "off" point: validated like
+    // any other mean, then dropped.
+    p.deadlines = p.deadlines.filter(DeadlineSpec::is_active);
+    Ok(p)
+}
+
+/// Parses `--{flag}` onto `field` when it is given, and reports whether it
+/// was.
+fn set<T: FromStr>(args: &mut Args, flag: &str, field: &mut T) -> Result<bool, ArgError>
+where
+    T::Err: Display,
+{
+    match args.take_opt(flag)? {
+        Some(value) => {
+            *field = value;
+            Ok(true)
         }
-        let every = parts[0]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate interval: {e}")))?;
-        let gain = parts[1]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate gain: {e}")))?;
-        let growth = parts[2]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate growth: {e}")))?;
-        b = b.migration(Some(MigrationSpec {
-            check_every_reads: every,
-            min_gain: gain,
-            state_growth: growth,
-        }));
+        None => Ok(false),
     }
-    b.build().map_err(|e| ArgError(e.to_string()))
+}
+
+/// Splits the comma-separated value of `--{flag}` into exactly `N` parts;
+/// `shape` names them in the error.
+fn tuple<const N: usize>(
+    args: &mut Args,
+    flag: &str,
+    shape: &str,
+) -> Result<Option<[String; N]>, ArgError> {
+    let Some(raw) = args.take(flag) else {
+        return Ok(None);
+    };
+    let parts: Vec<String> = raw.split(',').map(str::to_owned).collect();
+    parts
+        .try_into()
+        .map(Some)
+        .map_err(|_| ArgError(format!("--{flag} expects `{shape}`, got `{raw}`")))
+}
+
+/// Parses one part of a [`tuple`] flag, naming it `what` in the error.
+fn part<T: FromStr>(raw: &str, what: &str) -> Result<T, ArgError>
+where
+    T::Err: Display,
+{
+    raw.parse()
+        .map_err(|e| ArgError(format!("invalid {what}: {e}")))
 }
 
 /// Consumes the `--jobs` flag shared by every simulation subcommand.
@@ -442,41 +356,6 @@ pub fn take_jobs(args: &mut Args) -> Result<Option<usize>, ArgError> {
         Some(0) => Err(ArgError("--jobs must be at least 1".into())),
         other => Ok(other),
     }
-}
-
-/// Rebuilds a builder from already-validated parameters (used when a flag
-/// must mutate a field the builder does not expose directly).
-fn builder_from(params: SystemParams) -> dqa_core::params::SystemParamsBuilder {
-    // The builder starts at paper_base; replay every field.
-    let mut b = SystemParams::builder()
-        .num_sites(params.num_sites)
-        .num_disks(params.num_disks)
-        .disk_time(params.disk_time)
-        .disk_time_dev(params.disk_time_dev)
-        .mpl(params.mpl)
-        .think_time(params.think_time)
-        .classes(params.classes)
-        .msg_length(params.msg_length)
-        .message_costing(params.message_costing)
-        .disk_choice(params.disk_choice)
-        .estimate_error(params.estimate_error)
-        .status_period(params.status_period)
-        .status_msg_length(params.status_msg_length)
-        .num_relations(params.num_relations)
-        .copies(params.copies)
-        .workload(params.workload)
-        .update_fraction(params.update_fraction)
-        .propagation_factor(params.propagation_factor)
-        .cpu_speeds(params.cpu_speeds)
-        .faults(params.faults)
-        .deadlines(params.deadlines)
-        .suspicion(params.suspicion)
-        .admission(params.admission)
-        .redundancy(params.redundancy)
-        .arrivals(params.arrivals)
-        .users(params.users);
-    b = b.migration(params.migration);
-    b
 }
 
 #[cfg(test)]
@@ -710,6 +589,20 @@ mod tests {
     }
 
     #[test]
+    fn negative_or_nan_deadline_mean_is_reported() {
+        // Only a zero mean is the "off" point; any other mean reaches
+        // validation instead of silently running without deadlines.
+        for mean in ["-5", "NaN"] {
+            let mut a = args(&["--deadline-mean", mean]);
+            let err = take_params(&mut a).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("`deadline mean` must be positive, got {mean}")
+            );
+        }
+    }
+
+    #[test]
     fn suspicion_flags_parse_and_require_status_broadcast() {
         // The detector rides on costed status broadcasts; without one the
         // parameter validation names the missing pieces.
@@ -828,9 +721,9 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_resilience_config() {
-        // --reads rebuilds the builder mid-parse via builder_from, which
-        // must not drop any field — resilience flags consumed on either
-        // side of the rebuild have to survive into the final params.
+        // --reads writes every class's read count and nothing else —
+        // resilience flags consumed on either side of it have to survive
+        // into the final params.
         let mut a = args(&[
             "--reads",
             "40",
@@ -851,9 +744,8 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_fault_config() {
-        // --reads rebuilds the builder from validated params; fault flags
-        // are consumed afterwards, but a replayed builder must also keep
-        // an already-set fault spec intact.
+        // Fault flags are consumed after --reads; both must reach the
+        // final params.
         let mut a = args(&["--reads", "40", "--fault-mtbf", "900"]);
         let p = take_params(&mut a).unwrap();
         a.finish().unwrap();
@@ -969,8 +861,7 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_live_service_config() {
-        // builder_from must replay the live-service fields; --reads after
-        // live flags would otherwise silently drop them.
+        // Live-service flags given before --reads must survive it.
         let mut a = args(&[
             "--open-rate",
             "0.05",

@@ -11,13 +11,9 @@
 //! dqa help
 //! ```
 //!
-//! System flags (defaults = the paper's base configuration): `--sites`,
-//! `--disks`, `--mpl`, `--think`, `--io-prob`, `--io-cpu`, `--cpu-cpu`,
-//! `--msg`, `--reads`, `--disk-choice random|rr|jsq`, `--estimate-error`,
-//! `--status-period`, `--status-msg`, `--relations`, `--copies`,
-//! `--migrate every,gain,growth`, plus the fault-injection family
-//! `--fault-mtbf`, `--fault-mttr`, `--msg-loss`, `--status-loss`,
-//! `--fault-retries`, `--fault-backoff`.
+//! `dqa help` lists the system flags (defaults = the paper's base
+//! configuration) and the extension-layer flag families; README.md has
+//! the full tables.
 //!
 //! `--jobs N` (or the `DQA_JOBS` environment variable) sets how many
 //! worker threads replicated runs may use; results are byte-identical for

@@ -907,6 +907,13 @@ impl SystemParams {
                 Err(ParamsError::BadFraction { field, value })
             }
         }
+        fn non_negative(field: &'static str, value: f64) -> Result<(), ParamsError> {
+            if value.is_finite() && value >= 0.0 {
+                Ok(())
+            } else {
+                Err(ParamsError::NonPositive { field, value })
+            }
+        }
 
         if self.num_sites == 0 {
             return Err(ParamsError::Missing { what: "site" });
@@ -930,12 +937,7 @@ impl SystemParams {
             positive("num_reads", class.num_reads)?;
             fraction("class probability", class.probability)?;
             positive("query_size", class.query_size)?;
-            if !class.result_fraction.is_finite() || class.result_fraction < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "result_fraction",
-                    value: class.result_fraction,
-                });
-            }
+            non_negative("result_fraction", class.result_fraction)?;
         }
         if let MessageCosting::Detailed {
             msg_time,
@@ -949,25 +951,10 @@ impl SystemParams {
         if (sum - 1.0).abs() > 1e-9 {
             return Err(ParamsError::BadClassProbabilities { sum });
         }
-        if !self.msg_length.is_finite() || self.msg_length < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "msg_length",
-                value: self.msg_length,
-            });
-        }
+        non_negative("msg_length", self.msg_length)?;
         fraction("estimate_error", self.estimate_error)?;
-        if !self.status_period.is_finite() || self.status_period < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "status_period",
-                value: self.status_period,
-            });
-        }
-        if !self.status_msg_length.is_finite() || self.status_msg_length < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "status_msg_length",
-                value: self.status_msg_length,
-            });
-        }
+        non_negative("status_period", self.status_period)?;
+        non_negative("status_msg_length", self.status_msg_length)?;
         if self.num_relations == 0 {
             return Err(ParamsError::Missing { what: "relation" });
         }
@@ -988,12 +975,7 @@ impl SystemParams {
             positive("arrival_rate", arrival_rate)?;
         }
         fraction("update_fraction", self.update_fraction)?;
-        if !self.propagation_factor.is_finite() || self.propagation_factor < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "propagation_factor",
-                value: self.propagation_factor,
-            });
-        }
+        non_negative("propagation_factor", self.propagation_factor)?;
         if let Some(speeds) = &self.cpu_speeds {
             if speeds.len() != self.num_sites {
                 return Err(ParamsError::Missing {
@@ -1005,35 +987,15 @@ impl SystemParams {
             }
         }
         if let Some(f) = &self.faults {
-            if !f.mtbf.is_finite() || f.mtbf < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "fault mtbf",
-                    value: f.mtbf,
-                });
-            }
+            non_negative("fault mtbf", f.mtbf)?;
             // MTTR of zero means instant repair, which is legal (the
             // crash still drops the site's resident queries).
-            if !f.mttr.is_finite() || f.mttr < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "fault mttr",
-                    value: f.mttr,
-                });
-            }
+            non_negative("fault mttr", f.mttr)?;
             fraction("fault msg_loss", f.msg_loss)?;
             fraction("fault status_loss", f.status_loss)?;
             positive("fault backoff_base", f.backoff_base)?;
-            if !f.partition_at.is_finite() || f.partition_at < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_at",
-                    value: f.partition_at,
-                });
-            }
-            if !f.partition_for.is_finite() || f.partition_for < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_for",
-                    value: f.partition_for,
-                });
-            }
+            non_negative("partition_at", f.partition_at)?;
+            non_negative("partition_for", f.partition_for)?;
             if f.partition_for > 0.0 && f.partition_groups < 2 {
                 return Err(ParamsError::NonPositive {
                     field: "partition_groups (a partition needs at least 2 groups)",
@@ -1062,12 +1024,7 @@ impl SystemParams {
                 });
             }
             for entry in &self.script {
-                if !entry.at.is_finite() || entry.at < 0.0 {
-                    return Err(ParamsError::NonPositive {
-                        field: "script entry time",
-                        value: entry.at,
-                    });
-                }
+                non_negative("script entry time", entry.at)?;
                 match entry.action {
                     ScriptAction::SiteDown(s) | ScriptAction::SiteUp(s) => {
                         if s >= self.num_sites {
@@ -1090,18 +1047,8 @@ impl SystemParams {
             }
         }
         if let Some(d) = &self.deadlines {
-            if !d.mean.is_finite() || d.mean < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "deadline mean",
-                    value: d.mean,
-                });
-            }
-            if !d.floor.is_finite() || d.floor < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "deadline floor",
-                    value: d.floor,
-                });
-            }
+            non_negative("deadline mean", d.mean)?;
+            non_negative("deadline floor", d.floor)?;
             positive("deadline backoff_base", d.backoff_base)?;
         }
         if let Some(s) = &self.suspicion {
@@ -1138,12 +1085,7 @@ impl SystemParams {
         if let Some(r) = &self.redundancy {
             fraction("redundancy hedge_prob", r.hedge_prob)?;
             fraction("redundancy full_threshold", r.full_threshold)?;
-            if !r.load_threshold.is_finite() || r.load_threshold < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "redundancy load_threshold",
-                    value: r.load_threshold,
-                });
-            }
+            non_negative("redundancy load_threshold", r.load_threshold)?;
         }
         if let Some(a) = &self.arrivals {
             if a.is_active() && !matches!(self.workload, Workload::Open { .. }) {
@@ -1156,18 +1098,8 @@ impl SystemParams {
             if a.diurnal_amplitude > 0.0 {
                 positive("diurnal_period", a.diurnal_period)?;
             }
-            if !a.flash_at.is_finite() || a.flash_at < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "flash_at",
-                    value: a.flash_at,
-                });
-            }
-            if !a.flash_for.is_finite() || a.flash_for < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "flash_for",
-                    value: a.flash_for,
-                });
-            }
+            non_negative("flash_at", a.flash_at)?;
+            non_negative("flash_for", a.flash_for)?;
             if a.flash_for > 0.0 {
                 positive("flash_multiplier", a.flash_multiplier)?;
             }
@@ -1190,12 +1122,7 @@ impl SystemParams {
                                arrive with open queries, not closed terminals)",
                     });
                 }
-                if !u.zipf_exponent.is_finite() || u.zipf_exponent < 0.0 {
-                    return Err(ParamsError::NonPositive {
-                        field: "zipf_exponent",
-                        value: u.zipf_exponent,
-                    });
-                }
+                non_negative("zipf_exponent", u.zipf_exponent)?;
                 positive("session_mean", u.session_mean)?;
                 fraction("class_affinity", u.class_affinity)?;
             }
@@ -1206,18 +1133,8 @@ impl SystemParams {
                     what: "migration check interval",
                 });
             }
-            if !m.min_gain.is_finite() || m.min_gain < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "migration min_gain",
-                    value: m.min_gain,
-                });
-            }
-            if !m.state_growth.is_finite() || m.state_growth < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "migration state_growth",
-                    value: m.state_growth,
-                });
-            }
+            non_negative("migration min_gain", m.min_gain)?;
+            non_negative("migration state_growth", m.state_growth)?;
         }
         Ok(())
     }

@@ -5,7 +5,8 @@
 //! host-machine state into a run: two replications of the same seed then
 //! disagree, and the CRN byte-identity guarantee is gone. Wall time is
 //! legitimate only where we *measure the simulator itself* — the bench
-//! crate's `timing` module — which is scoped out in `lint.toml`.
+//! crate's binaries (`perf_ledger`, `perf_mva`) — which `lint.toml`
+//! scopes out.
 
 use crate::config::RuleConfig;
 use crate::diagnostics::Finding;
@@ -42,7 +43,7 @@ impl Rule for NoWallClock {
                         format!("`{text}` referenced in deterministic code"),
                         Some(
                             "simulation code must read time only from dqa_sim::SimTime; \
-                         wall-clock measurement belongs in the bench crate's timing module"
+                         wall-clock measurement belongs in the bench binaries"
                                 .to_string(),
                         ),
                     ),

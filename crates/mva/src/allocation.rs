@@ -247,12 +247,6 @@ impl StudyCache {
         &self.cfg
     }
 
-    /// The memoized site network.
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
     /// How many exact lattice recursions this cache has run — the
     /// denominator of its savings (the naive path runs one per query).
     #[must_use]
@@ -839,7 +833,7 @@ mod tests {
     fn cache_builds_network_once() {
         let cfg = StudyConfig::new(0.05, 1.0);
         let cache = StudyCache::new(cfg);
-        assert_eq!(cache.network().num_stations(), 3);
+        assert_eq!(cache.network.num_stations(), 3);
         assert_eq!(cache.config(), &cfg);
     }
 

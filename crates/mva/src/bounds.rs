@@ -1,16 +1,10 @@
-//! Asymptotic (bottleneck) bounds for single-class closed networks, and
-//! balanced-job waiting bounds for multi-class ones.
+//! Asymptotic (bottleneck) bounds for single-class closed networks.
 //!
 //! Operational-law bounds need only the total demand per station — no
 //! recursion — and bracket the exact MVA solution. The test suites use
-//! them as an independent oracle for the solver, they make quick capacity
-//! estimates ("how many terminals can this site possibly carry?") without
-//! simulating, and [`waiting_bounds`] certifies the pruning of the
-//! optimal-allocation search (`dqa_mva::search`): a candidate site whose
-//! waiting *lower* bound already exceeds an exactly-evaluated rival can be
-//! discarded without running the exact recursion.
-
-use crate::{Network, StationKind};
+//! them as an independent oracle for the solver, and they make quick
+//! capacity estimates ("how many terminals can this site possibly
+//! carry?") without simulating.
 
 /// Asymptotic bounds on throughput and response time for a single-class
 /// closed interactive system: `n` customers, think time `think`, and
@@ -82,94 +76,6 @@ pub fn saturation_population(demands: &[f64], think: f64) -> f64 {
     (total + think) / max
 }
 
-/// Certified balanced-job bounds `(lo, hi)` on the per-cycle **waiting**
-/// time of `class` in a multi-class closed network at `population`
-/// (`Solution::waiting_per_cycle` of the exact solve), with
-/// `population[class] >= 1` — the arriving query is part of the
-/// population, as in the allocation study.
-///
-/// Derivation, from the arrival theorem: a class-`c` arrival's waiting is
-/// `W_c(n) = Σ_k D_kc · Q_k(n − e_c)` over the queueing stations (delay
-/// stations never queue, and a multiserver station's queueing term is
-/// between `0` and `D_kc · Q_k`). The mean queues at the reduced
-/// population sum to exactly `|n| − 1` when every station is a
-/// single-server queueing station, and to at most `|n| − 1` otherwise.
-/// Replacing the network with a *balanced* one at the class's extreme
-/// demands therefore brackets the truth:
-///
-/// * `hi = (|n| − 1) · max_k D_kc` over non-delay stations — every other
-///   customer queues ahead of the arrival at its most expensive station;
-/// * `lo = (|n| − 1) · min_k D_kc` over the stations when **all** stations
-///   are single-server queueing (the `|n| − 1` customers must be
-///   *somewhere*, each costing at least the cheapest demand); `0.0` if
-///   the network has delay or multiserver stations (customers can then
-///   absorb no queueing at all).
-///
-/// The bounds need no recursion — `O(K)` — and are exactly what the
-/// pruned allocation search (`dqa_mva::search`) uses to discard candidate
-/// sites without solving them.
-///
-/// # Panics
-///
-/// Panics if the arities mismatch, `class` is out of range, or
-/// `population[class] == 0`.
-///
-/// # Example
-///
-/// ```
-/// use dqa_mva::bounds::waiting_bounds;
-/// use dqa_mva::{solve, Network, StationKind};
-///
-/// let net = Network::builder(2)
-///     .station("cpu", StationKind::Queueing, [0.05, 1.0])
-///     .station("disk", StationKind::Queueing, [0.5, 0.5])
-///     .build()?;
-/// let (lo, hi) = waiting_bounds(&net, &[2, 1], 0);
-/// let w = solve(&net, &[2, 1]).waiting_per_cycle(0);
-/// assert!(lo <= w && w <= hi);
-/// # Ok::<(), dqa_mva::NetworkError>(())
-/// ```
-#[must_use]
-pub fn waiting_bounds(network: &Network, population: &[u32], class: usize) -> (f64, f64) {
-    assert_eq!(
-        population.len(),
-        network.num_classes(),
-        "population vector has wrong arity"
-    );
-    assert!(class < network.num_classes(), "class out of range");
-    assert!(
-        population[class] >= 1,
-        "evaluated class must be present in the population"
-    );
-
-    let others = f64::from(population.iter().sum::<u32>() - 1);
-    let mut d_min = f64::INFINITY;
-    let mut d_max = 0.0f64;
-    let mut all_single_server = true;
-    for k in 0..network.num_stations() {
-        let d = network.demand(k, class);
-        match network.kind(k) {
-            StationKind::Queueing => {
-                d_min = d_min.min(d);
-                d_max = d_max.max(d);
-            }
-            StationKind::MultiServer { .. } => {
-                all_single_server = false;
-                d_max = d_max.max(d);
-            }
-            StationKind::Delay => {
-                all_single_server = false;
-            }
-        }
-    }
-    let lo = if all_single_server && d_min.is_finite() {
-        others * d_min
-    } else {
-        0.0
-    };
-    (lo, others * d_max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,80 +145,5 @@ mod tests {
     #[should_panic(expected = "at least one customer")]
     fn zero_population_rejected() {
         let _ = asymptotic_bounds(&[1.0], 0.0, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Multi-class waiting bounds
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn waiting_bounds_bracket_exact_on_site_networks() {
-        // The allocation study's site shapes, over a grid of populations.
-        for (c1, c2) in [(0.05, 0.5), (0.10, 2.0), (0.50, 2.5)] {
-            let net = Network::builder(2)
-                .station("cpu", StationKind::Queueing, [c1, c2])
-                .station("d0", StationKind::Queueing, [0.5, 0.5])
-                .station("d1", StationKind::Queueing, [0.5, 0.5])
-                .build()
-                .unwrap();
-            for n0 in 0..5u32 {
-                for n1 in 0..5u32 {
-                    let sol = solve(&net, &[n0, n1]);
-                    for class in 0..2 {
-                        if [n0, n1][class] == 0 {
-                            continue;
-                        }
-                        let (lo, hi) = waiting_bounds(&net, &[n0, n1], class);
-                        let w = sol.waiting_per_cycle(class);
-                        assert!(
-                            lo <= w + 1e-12 && w <= hi + 1e-12,
-                            "W {w} outside [{lo}, {hi}] at [{n0}, {n1}] class {class}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn waiting_bounds_bracket_exact_with_delay_and_multiserver() {
-        let net = Network::builder(2)
-            .station("think", StationKind::Delay, [5.0, 5.0])
-            .station("cpu", StationKind::Queueing, [0.4, 1.3])
-            .station("disks", StationKind::MultiServer { servers: 2 }, [1.0, 1.0])
-            .build()
-            .unwrap();
-        for pop in [[1u32, 0], [2, 2], [4, 1], [0, 3]] {
-            let sol = solve(&net, &pop);
-            for class in 0..2 {
-                if pop[class] == 0 {
-                    continue;
-                }
-                let (lo, hi) = waiting_bounds(&net, &pop, class);
-                assert_eq!(lo, 0.0, "mixed stations give a zero lower bound");
-                let w = sol.waiting_per_cycle(class);
-                assert!(w <= hi + 1e-12, "W {w} above {hi} at {pop:?} class {class}");
-            }
-        }
-    }
-
-    #[test]
-    fn waiting_bounds_lone_customer_is_zero() {
-        let net = Network::builder(2)
-            .station("cpu", StationKind::Queueing, [0.05, 1.0])
-            .station("disk", StationKind::Queueing, [0.5, 0.5])
-            .build()
-            .unwrap();
-        assert_eq!(waiting_bounds(&net, &[1, 0], 0), (0.0, 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be present")]
-    fn waiting_bounds_rejects_absent_class() {
-        let net = Network::builder(2)
-            .station("cpu", StationKind::Queueing, [0.05, 1.0])
-            .build()
-            .unwrap();
-        let _ = waiting_bounds(&net, &[0, 2], 0);
     }
 }

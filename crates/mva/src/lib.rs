@@ -44,7 +44,6 @@ mod approx;
 pub mod bounds;
 mod network;
 mod population;
-pub mod search;
 mod solver;
 
 pub use approx::approx_solve;

@@ -2,8 +2,7 @@
 //! monotonicity, and symmetry across randomized networks, driven by the
 //! deterministic [`dqa_sim::testkit`] case runner.
 
-use dqa_mva::allocation::{analyze_arrival, paper_cpu_ratios, LoadMatrix, StudyCache, StudyConfig};
-use dqa_mva::search::optimal_waiting_site;
+use dqa_mva::allocation::{analyze_arrival, paper_cpu_ratios, LoadMatrix, StudyConfig};
 use dqa_mva::{approx_solve, solve, Network, SolvedLattice, StationKind};
 use dqa_sim::testkit::{cases, Gen};
 
@@ -282,9 +281,7 @@ fn solved_lattice_matches_direct_solve_everywhere() {
 /// site networks: across all six CPU-ratio pairs and populations up to
 /// (5, 5), approximate waiting per cycle stays within a bounded fraction
 /// of the exact class cycle time, and throughput within the same relative
-/// tolerance. This pins the screening quality the pruned allocation
-/// search relies on (it never relies on it for *correctness* — exact MVA
-/// confirms every surviving candidate).
+/// tolerance.
 #[test]
 fn approx_solve_tracks_exact_on_site_networks() {
     // Schweitzer is least accurate at the small populations of this very
@@ -319,44 +316,6 @@ fn approx_solve_tracks_exact_on_site_networks() {
         max_err < TOL,
         "Schweitzer error exceeded tolerance: max relative error {max_err:.6}"
     );
-}
-
-/// The bounds-pruned allocation search returns the identical optimal site
-/// and bitwise-identical waiting as exhaustive evaluation, on random loads
-/// and configurations, and accounts for every candidate site exactly once.
-#[test]
-fn pruned_search_matches_exhaustive_argmin() {
-    cases(150, 0x3A_0B, |g| {
-        let counts: Vec<u32> = (0..8).map(|_| g.u32_in(0..4)).collect();
-        let cpu_io = g.f64_in(0.01..0.49);
-        let cpu_cpu = g.f64_in(0.5..3.0);
-        let class = g.usize_in(0..2);
-        let load = LoadMatrix::new([
-            [counts[0], counts[1], counts[2], counts[3]],
-            [counts[4], counts[5], counts[6], counts[7]],
-        ]);
-        let cache = StudyCache::new(StudyConfig::new(cpu_io, cpu_cpu));
-        let exhaustive = cache.analyze_arrival(&load, class);
-        let outcome = optimal_waiting_site(&cache, &load, class);
-        assert_eq!(
-            outcome.site,
-            exhaustive.opt_site,
-            "case {}: pruned search picked a different site",
-            g.case()
-        );
-        assert_eq!(
-            outcome.waiting.to_bits(),
-            exhaustive.waiting_opt.to_bits(),
-            "case {}: pruned search waiting diverged",
-            g.case()
-        );
-        assert_eq!(
-            outcome.exact_evaluated + outcome.pruned,
-            LoadMatrix::SITES,
-            "case {}: candidate accounting broken",
-            g.case()
-        );
-    });
 }
 
 /// A completely empty system: any arrival waits zero everywhere, so both
