@@ -200,7 +200,12 @@ pub struct RunReport {
     /// redundancy layer never fired).
     pub redundancy_levels: Vec<u64>,
     /// Kernel events dispatched over the whole run (warmup included) —
-    /// the denominator for ns/event in the perf benches.
+    /// the denominator for ns/event in the perf benches. A CPU's
+    /// superseded departure announcements are replaced in its timer slot,
+    /// never dispatched, so they are not counted. Builds that still
+    /// dispatched them (before the CPU timer slots) count about a fifth
+    /// more events for the same run: `events` and ns/event do not compare
+    /// across that change, while every other field is byte-identical.
     pub events: u64,
     /// High-water mark of concurrently active user sessions across all
     /// sites (zero without a user population).

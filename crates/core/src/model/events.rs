@@ -32,13 +32,16 @@ pub enum Event {
         /// Site crash epoch when the completion was scheduled.
         epoch: u64,
     },
-    /// The CPU at `site` announced a completion; `token` validates it
-    /// against intervening arrivals (processor sharing reshuffles
-    /// completion times, so stale events are ignored).
+    /// The CPU at `site` reached its next departure. Processor sharing
+    /// moves that departure on every arrival, departure and eviction, so
+    /// the event lives in `site`'s CPU timer slot and each change re-arms
+    /// (or, once the server empties or the site crashes, disarms) it: the
+    /// one `CpuDone` pending per site is always the current announcement.
     CpuDone {
         /// Executing site.
         site: SiteId,
-        /// Lazy-cancellation token from the PS server.
+        /// The PS server's token for this announcement, checked on
+        /// delivery as a guard.
         token: PsToken,
     },
     /// The token ring finished transmitting a message.

@@ -41,7 +41,7 @@ mod site;
 pub use events::{Event, MsgKind, RingMsg};
 pub use site::Site;
 
-use dqa_queueing::{PsToken, TokenRing};
+use dqa_queueing::{NextCompletion, PsToken, TokenRing};
 use dqa_sim::random::{Dist, RngStream};
 use dqa_sim::{Engine, Model, Scheduler, SimTime};
 
@@ -65,11 +65,29 @@ use obs::Obs;
 pub(crate) trait EventSink {
     /// Schedules `event` at absolute time `t`.
     fn schedule(&mut self, t: SimTime, event: Event);
+
+    /// Re-announces the next departure of `site`'s CPU: `Some` arms the
+    /// site's CPU timer slot with a `CpuDone`, replacing the announcement
+    /// it supersedes; `None` (an emptied or crashed server) disarms it.
+    fn cpu_next(&mut self, site: SiteId, next: NextCompletion);
+}
+
+/// The `CpuDone` event that announces `next` at `site`, with its time.
+fn cpu_done(site: SiteId, next: NextCompletion) -> Option<(SimTime, Event)> {
+    next.map(|(t, token)| (t, Event::CpuDone { site, token }))
 }
 
 impl EventSink for Scheduler<Event> {
     fn schedule(&mut self, t: SimTime, event: Event) {
         self.at(t, event);
+    }
+
+    /// Slot `site` of the engine's queue is that site's CPU timer.
+    fn cpu_next(&mut self, site: SiteId, next: NextCompletion) {
+        match cpu_done(site, next) {
+            Some((t, event)) => self.arm(site, t, event),
+            None => self.disarm(site),
+        }
     }
 }
 
@@ -905,15 +923,8 @@ impl Lp {
             q.phase = QueryPhase::Cpu;
             q.service += work;
         }
-        if let Some((t, token)) = self.site.cpu.arrive(now, id, work) {
-            sink.schedule(
-                t,
-                Event::CpuDone {
-                    site: self.index,
-                    token,
-                },
-            );
-        }
+        let next = self.site.cpu.arrive(now, id, work);
+        sink.cpu_next(self.index, next);
     }
 
     fn handle_cpu_done(
@@ -923,20 +934,15 @@ impl Lp {
         sh: &Shared<'_>,
         sink: &mut dyn EventSink,
     ) {
-        // Processor sharing reshuffles completion times on every arrival;
-        // stale announcements are ignored.
-        let Some((id, next)) = self.site.cpu.complete(now, token) else {
+        // Every CPU state change re-arms the site's CPU slot, so the one
+        // `CpuDone` delivered is the current announcement; the token check
+        // stays as a guard.
+        let completed = self.site.cpu.complete(now, token);
+        debug_assert!(completed.is_some(), "superseded CpuDone delivered");
+        let Some((id, next)) = completed else {
             return;
         };
-        if let Some((t, tok)) = next {
-            sink.schedule(
-                t,
-                Event::CpuDone {
-                    site: self.index,
-                    token: tok,
-                },
-            );
-        }
+        sink.cpu_next(self.index, next);
 
         let (reads_done, finished, kind) = {
             let q = self.query_mut(id);
@@ -1388,8 +1394,9 @@ impl Lp {
     }
 
     /// Pulls a query resident at this site's stations (phase Disk or Cpu)
-    /// off them, phase-exactly: a CPU job leaves the PS server (the next
-    /// completion reshuffles) and a waiting disk job leaves its queue.
+    /// off them, phase-exactly: a CPU job leaves the PS server (the CPU
+    /// slot is re-armed with the reshuffled next completion, or disarmed
+    /// if the server emptied) and a waiting disk job leaves its queue.
     /// Returns `false`, touching nothing, for a page read in service:
     /// FCFS service is immutable once started, so the caller flags the
     /// query and the read's own `DiskDone` ends it.
@@ -1398,9 +1405,8 @@ impl Lp {
             QueryPhase::Cpu => {
                 let removed = self.site.cpu.remove(now, &id);
                 debug_assert!(removed.is_some(), "Cpu-phase query not in its PS server");
-                if let Some((_unserved, Some((t, token)))) = removed {
-                    let site = self.index;
-                    sink.schedule(t, Event::CpuDone { site, token });
+                if let Some((_unserved, next)) = removed {
+                    sink.cpu_next(self.index, next);
                 }
                 true
             }
@@ -2238,11 +2244,13 @@ impl DbSystem {
     }
 
     /// The fail-stop state change shared by stochastic crashes and
-    /// scripted ones: drain the stations, mark the site unavailable, and
-    /// push every resident query into fault recovery. Schedules no
-    /// repair — that is the caller's (stochastic or scripted) business.
+    /// scripted ones: drain the stations, disarm the CPU's pending
+    /// departure, mark the site unavailable, and push every resident
+    /// query into fault recovery. Schedules no repair — that is the
+    /// caller's (stochastic or scripted) business.
     fn crash_site(&mut self, now: SimTime, site: SiteId, sink: &mut dyn EventSink) {
         let victims = self.lps[site].site.crash(now);
+        sink.cpu_next(site, None);
         self.board.set_available(site, false);
         let frac = self.board.available_sites() as f64 / self.params.num_sites as f64;
         self.metrics.record_availability(now, frac);

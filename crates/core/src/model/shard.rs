@@ -71,6 +71,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use dqa_queueing::NextCompletion;
 use dqa_sim::random::{Dist, RngStream};
 use dqa_sim::{EventQueue, SimTime};
 
@@ -80,7 +81,7 @@ use crate::policy::PolicyKind;
 use crate::replication::Catalog;
 
 use super::obs::Obs;
-use super::{event_site, obs, DbSystem, Event, EventSink, Lp, RingMsg, Shared};
+use super::{cpu_done, event_site, obs, DbSystem, Event, EventSink, Lp, RingMsg, Shared};
 
 // ----------------------------------------------------------------------
 // Shardability gate and lookahead
@@ -236,6 +237,22 @@ fn head(queue: &EventQueue<Stamped>) -> Option<(SimTime, SimTime)> {
     queue.peek().map(|(t, s)| (t, s.scheduled))
 }
 
+/// Re-announces the LP's CPU departure in timer slot 0 of its own queue,
+/// stamped with the scheduling instant like every other entry.
+fn cpu_next_in(queue: &mut EventQueue<Stamped>, now: SimTime, site: SiteId, next: NextCompletion) {
+    match cpu_done(site, next) {
+        Some((t, event)) => queue.arm(
+            0,
+            t,
+            Stamped {
+                scheduled: now,
+                event,
+            },
+        ),
+        None => queue.disarm(0),
+    }
+}
+
 /// The window-time sink: accepts only the owning LP's events.
 struct LocalSink<'a> {
     site: SiteId,
@@ -252,6 +269,11 @@ impl EventSink for LocalSink<'_> {
         );
         let scheduled = self.now;
         self.queue.push(t, Stamped { scheduled, event });
+    }
+
+    fn cpu_next(&mut self, site: SiteId, next: NextCompletion) {
+        debug_assert_eq!(site, self.site, "LP handler re-armed another site's CPU");
+        cpu_next_in(self.queue, self.now, site, next);
     }
 }
 
@@ -273,6 +295,10 @@ impl EventSink for RouterSink<'_> {
             Some(site) => self.locals[site].push(t, stamped),
             None => self.global.push(t, stamped),
         }
+    }
+
+    fn cpu_next(&mut self, site: SiteId, next: NextCompletion) {
+        cpu_next_in(&mut self.locals[site], self.now, site, next);
     }
 }
 

@@ -20,8 +20,9 @@ pub struct Site {
     /// Whether the site is up (always `true` without fault injection).
     up: bool,
     /// Crash epoch: bumped on every crash so that disk-completion events
-    /// scheduled before the crash can be recognized as stale and dropped
-    /// (the PS server has its own token mechanism; FCFS does not).
+    /// scheduled before the crash can be recognized as stale and dropped.
+    /// The CPU needs no epoch: the host disarms its timer slot at the
+    /// crash, and its PS tokens guard the rest; FCFS has neither.
     epoch: u64,
 }
 
@@ -55,10 +56,10 @@ impl Site {
         self.epoch
     }
 
-    /// Fail-stops the site: every station drains, in-flight completions
-    /// become stale (PS by token, disks by the bumped epoch), and the
-    /// resident queries — whose partial work is lost — are returned for the
-    /// host to back off and retry.
+    /// Fail-stops the site: every station drains, in-flight disk
+    /// completions become stale (by the bumped epoch; the host disarms the
+    /// CPU's pending departure), and the resident queries — whose partial
+    /// work is lost — are returned for the host to back off and retry.
     pub fn crash(&mut self, now: SimTime) -> Vec<QueryId> {
         debug_assert!(self.up, "crash of an already-down site");
         self.up = false;

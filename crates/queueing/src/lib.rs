@@ -12,8 +12,11 @@
 //! themselves. Instead, every state-changing call returns the time of the
 //! next completion (if it changed), and the *host model* schedules an event
 //! for it. Preemptive-resume stations ([`PsServer`]) additionally return an
-//! epoch token so the host can recognize and discard stale completion events
-//! — the standard "lazy cancellation" technique.
+//! epoch token, because every arrival or departure supersedes the completion
+//! announced before it. A host may keep the superseded events queued and
+//! discard them on delivery by the token (lazy cancellation), or re-arm one
+//! timer per server ([`dqa_sim::EventQueue::arm`]) so that only the current
+//! announcement is ever pending; the token is then a guard that never trips.
 //!
 //! * [`FcfsQueue`] — a single-server FIFO queue (one disk).
 //! * [`PsServer`] — an egalitarian processor-sharing server (the CPU).
@@ -31,5 +34,5 @@ mod ps;
 mod token_ring;
 
 pub use fcfs::FcfsQueue;
-pub use ps::{PsServer, PsToken};
+pub use ps::{NextCompletion, PsServer, PsToken};
 pub use token_ring::TokenRing;

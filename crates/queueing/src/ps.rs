@@ -5,11 +5,15 @@ use dqa_sim::SimTime;
 
 /// Epoch token identifying a scheduled PS completion.
 ///
-/// Every state change of a [`PsServer`] (arrival or departure) invalidates
-/// previously announced completion times. The server hands out a `PsToken`
-/// with each announced completion; the host stores it in the scheduled event
-/// and the server only honors the completion if the token is still current.
-/// Stale events are simply ignored — the classic lazy-cancellation pattern.
+/// Every state change of a [`PsServer`] (arrival, departure, removal or
+/// clear) invalidates previously announced completion times. The server
+/// hands out a `PsToken` with each announced completion; the host stores it
+/// in the scheduled event and the server only honors the completion if the
+/// token is still current. A host that leaves superseded events queued
+/// relies on this to ignore them (lazy cancellation). A host that re-arms
+/// one timer per server with each new announcement, and disarms it when
+/// [`PsServer::remove`] or [`PsServer::clear`] empties the server, only
+/// ever delivers the current token; the check is then a guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PsToken(u64);
 
@@ -120,7 +124,8 @@ impl<J> PsServer<J> {
     /// A job arrives with the given amount of work.
     ///
     /// Returns the new next completion; the host must schedule an event for
-    /// it, and any previously scheduled PS completion becomes stale.
+    /// it (or re-arm its timer), and any previously announced PS completion
+    /// becomes stale.
     ///
     /// # Panics
     ///

@@ -82,6 +82,27 @@ impl<E> Scheduler<E> {
         self.queue.push(time, event);
     }
 
+    /// Arms timer slot `slot` to fire `event` at the absolute time `time`,
+    /// replacing whatever the slot held (see [`EventQueue::arm`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the current clock, as
+    /// [`Scheduler::at`] does.
+    pub fn arm(&mut self, slot: usize, time: SimTime, event: E) {
+        assert!(
+            time >= self.now,
+            "cannot schedule into the past: {time} < now {}",
+            self.now
+        );
+        self.queue.arm(slot, time, event);
+    }
+
+    /// Cancels the event armed in timer slot `slot`, if any.
+    pub fn disarm(&mut self, slot: usize) {
+        self.queue.disarm(slot);
+    }
+
     /// Schedules `event` to fire `delay` time units from now.
     ///
     /// # Panics
@@ -329,6 +350,51 @@ mod tests {
         let mut eng = Engine::new(Bad);
         eng.schedule(SimTime::new(1.0), ());
         eng.run_to_completion();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn arming_into_the_past_panics() {
+        struct Bad;
+        impl Model for Bad {
+            type Event = ();
+            fn handle(&mut self, now: SimTime, _: (), sched: &mut Scheduler<()>) {
+                if now > SimTime::ZERO {
+                    sched.arm(0, SimTime::ZERO, ());
+                }
+            }
+        }
+        let mut eng = Engine::new(Bad);
+        eng.schedule(SimTime::new(1.0), ());
+        eng.run_to_completion();
+    }
+
+    #[test]
+    fn armed_slots_are_dispatched_and_rearmed_in_place() {
+        // Event 1 arms slot 0 twice; only the second arming fires, and a
+        // disarmed slot fires nothing.
+        struct Timer {
+            seen: Vec<(f64, u32)>,
+        }
+        impl Model for Timer {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+                self.seen.push((now.as_f64(), ev));
+                if ev == 1 {
+                    sched.arm(0, now + 1.0, 10);
+                    sched.arm(0, now + 2.0, 11);
+                    sched.arm(1, now + 0.5, 12);
+                    sched.disarm(1);
+                    assert_eq!(sched.pending(), 2);
+                }
+            }
+        }
+        let mut eng = Engine::new(Timer { seen: Vec::new() });
+        eng.schedule(SimTime::new(1.0), 1);
+        eng.schedule(SimTime::new(2.5), 2);
+        eng.run_to_completion();
+        assert_eq!(eng.model().seen, [(1.0, 1), (2.5, 2), (3.0, 11)]);
+        assert_eq!(eng.steps(), 3);
     }
 
     #[test]

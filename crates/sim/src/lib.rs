@@ -10,6 +10,8 @@
 //!   wrapper around `f64`).
 //! * [`EventQueue`] — a stable priority queue of timestamped events: events
 //!   with equal timestamps are delivered in the order they were scheduled.
+//!   Re-armable timer slots hold one pending event each, replaced in place
+//!   when a station re-announces its next completion.
 //! * [`Engine`] / [`Model`] / [`Scheduler`] — the event loop. A model defines
 //!   an event payload type and a `handle` method; the engine pops events in
 //!   time order and dispatches them, letting the handler schedule more.

@@ -56,6 +56,80 @@ fn event_queue_is_stable() {
     });
 }
 
+/// Pops the earliest live event of a lazy-cancellation queue: each entry
+/// carries the slot it was armed in, if any, and an entry whose slot has
+/// since been re-armed or disarmed is skipped.
+fn pop_live(
+    lazy: &mut EventQueue<(u64, Option<usize>)>,
+    live: &mut [Option<u64>],
+) -> Option<(SimTime, u64)> {
+    while let Some((t, (id, slot))) = lazy.pop() {
+        match slot {
+            None => return Some((t, id)),
+            Some(s) if live[s] == Some(id) => {
+                live[s] = None;
+                return Some((t, id));
+            }
+            Some(_) => {} // superseded
+        }
+    }
+    None
+}
+
+/// Timer slots agree with lazy cancellation: a random script of pushes,
+/// arms, disarms and pops over a few distinct times (so ties are common)
+/// pops the same live events, in the same order, from a queue with slots
+/// as from a reference that pushes every announcement and skips the
+/// superseded ones on pop. `len` counts heap events and armed slots.
+#[test]
+fn timer_slots_match_lazy_cancellation() {
+    const SLOTS: usize = 4;
+    cases(300, 0xE0_0A, |g| {
+        let mut q = EventQueue::new();
+        let mut lazy = EventQueue::new();
+        let mut live = [None; SLOTS];
+        let mut pushed = std::collections::HashSet::new();
+        for id in 0..g.u64_in(1..400) {
+            let t = SimTime::new(g.usize_in(0..5) as f64);
+            match g.usize_in(0..8) {
+                0..=1 => {
+                    q.push(t, id);
+                    lazy.push(t, (id, None));
+                    pushed.insert(id);
+                }
+                2..=4 => {
+                    let s = g.usize_in(0..SLOTS);
+                    q.arm(s, t, id);
+                    lazy.push(t, (id, Some(s)));
+                    live[s] = Some(id);
+                }
+                5 => {
+                    let s = g.usize_in(0..SLOTS);
+                    q.disarm(s);
+                    live[s] = None;
+                }
+                _ => {
+                    let got = q.pop();
+                    assert_eq!(got, pop_live(&mut lazy, &mut live), "case {}", g.case());
+                    if let Some((_, popped)) = got {
+                        pushed.remove(&popped);
+                    }
+                }
+            }
+            let armed = live.iter().flatten().count();
+            assert_eq!(q.len(), pushed.len() + armed, "case {}: len", g.case());
+        }
+        loop {
+            let got = q.pop();
+            assert_eq!(got, pop_live(&mut lazy, &mut live), "case {}", g.case());
+            if got.is_none() {
+                break;
+            }
+        }
+        assert!(q.is_empty());
+    });
+}
+
 /// Welford tally matches the naive two-pass mean and variance.
 #[test]
 fn tally_matches_two_pass() {

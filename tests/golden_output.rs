@@ -2,15 +2,26 @@
 //!
 //! The other determinism tests compare two runs of the *same* build, so a
 //! refactor that changes behavior the same way in both runs passes them.
-//! These tests compare against fingerprints recorded once from a known
-//! build instead: FNV-1a 64 over the report's `Debug` text, kernel event
-//! count included. Each shape drives a lifecycle path the perf ledger's
-//! workloads do not reach (or reach only rarely), and asserts that the
-//! path actually fired, so a pin can never silently cover nothing.
+//! These tests compare against values recorded once from a known build
+//! instead. Each shape is pinned twice:
 //!
-//! A pin that breaks means the simulator's output changed. Do not
-//! regenerate the constants to make it pass unless the change of output
-//! is the point of the change.
+//! * the outputs: FNV-1a 64 over the report's `Debug` text with `events`
+//!   zeroed (the perf ledger's fingerprint rule);
+//! * the cost: the exact kernel event count, `events`.
+//!
+//! The two are pinned apart because they change for different reasons.
+//! The event count moves whenever the kernel stops dispatching an event
+//! that does nothing (a superseded CPU announcement, say) while every
+//! output stays byte-identical; the outputs move only when the
+//! simulation itself changes. Each shape drives a lifecycle path the perf
+//! ledger's workloads do not reach (or reach only rarely), and asserts
+//! that the path actually fired, so a pin can never silently cover
+//! nothing.
+//!
+//! A pin that breaks means the simulator's output (or its event count)
+//! changed. Do not regenerate the constants to make it pass unless the
+//! change is the point of the change; an event-count change must leave
+//! the output fingerprint alone.
 
 use dqa_core::experiment::{run, RunConfig, RunReport};
 use dqa_core::params::{
@@ -19,17 +30,27 @@ use dqa_core::params::{
 };
 use dqa_core::policy::PolicyKind;
 
-/// FNV-1a 64 over the `Debug` text of `report`.
+/// FNV-1a 64 over the `Debug` text of `report` with `events` zeroed.
 fn fingerprint(report: &RunReport) -> u64 {
-    format!("{report:?}")
+    let outputs = RunReport {
+        events: 0,
+        ..report.clone()
+    };
+    format!("{outputs:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |hash, b| {
             (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
 }
 
-/// Runs `params` under `policy` and checks the report's fingerprint.
-fn pinned(params: SystemParams, policy: PolicyKind, seed: u64, expected: u64) -> RunReport {
+/// Runs `params` under `policy` and checks the report's output
+/// fingerprint and its kernel event count.
+fn pinned(
+    params: SystemParams,
+    policy: PolicyKind,
+    seed: u64,
+    (expected, events): (u64, u64),
+) -> RunReport {
     let config = RunConfig::new(params, policy)
         .seed(seed)
         .windows(500.0, 4_000.0);
@@ -39,6 +60,7 @@ fn pinned(params: SystemParams, policy: PolicyKind, seed: u64, expected: u64) ->
         got, expected,
         "report fingerprint changed: got {got:#018x}, pinned {expected:#018x}\n{report:?}"
     );
+    assert_eq!(report.events, events, "kernel event count changed");
     report
 }
 
@@ -57,7 +79,7 @@ fn admission_drop_is_pinned() {
         }))
         .build()
         .expect("valid params");
-    let r = pinned(params, PolicyKind::Bnq, 12, 0x2cd8_11cd_86de_f039);
+    let r = pinned(params, PolicyKind::Bnq, 12, (0xb589_b9ef_feed_07a7, 52_687));
     assert!(r.admission_dropped > 0, "no query was dropped");
 }
 
@@ -73,7 +95,12 @@ fn admission_reject_retry_is_pinned() {
         }))
         .build()
         .expect("valid params");
-    let r = pinned(params, PolicyKind::Lert, 13, 0x5034_9405_b0c6_0b84);
+    let r = pinned(
+        params,
+        PolicyKind::Lert,
+        13,
+        (0x5e0a_7165_958f_5d6b, 51_414),
+    );
     assert!(r.admission_rejected > 0, "no query was rejected");
     assert!(
         r.admission_dropped > 0,
@@ -105,7 +132,7 @@ fn fault_script_is_pinned() {
         ])
         .build()
         .expect("valid params");
-    let r = pinned(params, PolicyKind::Bnq, 14, 0xb321_beb0_b28d_7377);
+    let r = pinned(params, PolicyKind::Bnq, 14, (0x9be7_a3a0_3d2d_01a9, 33_716));
     assert!(r.queries_retried > 0, "no query retried");
     assert!(r.queries_lost > 0, "no query ran out of retries");
     assert!(r.partition_drops > 0, "the partition dropped no frame");
@@ -126,7 +153,12 @@ fn open_arrivals_at_crashed_sites_are_pinned() {
         }))
         .build()
         .expect("valid params");
-    let r = pinned(params, PolicyKind::Lert, 15, 0x7e8e_3110_7417_0caf);
+    let r = pinned(
+        params,
+        PolicyKind::Lert,
+        15,
+        (0x492d_0b2d_11ab_6aaa, 34_263),
+    );
     assert!(r.queries_lost > 0, "no arrival bounced off a crashed site");
     assert!(r.queries_retried > 0, "no crash victim retried");
 }
@@ -153,7 +185,12 @@ fn updates_with_copies_under_faults_are_pinned() {
         }))
         .build()
         .expect("valid params");
-    let r = pinned(params, PolicyKind::Bnqrd, 16, 0x8563_4e26_fdb2_2f3e);
+    let r = pinned(
+        params,
+        PolicyKind::Bnqrd,
+        16,
+        (0x828a_4092_9dd3_c66b, 39_807),
+    );
     assert!(r.propagations > 0, "no update propagated");
     assert!(r.msgs_lost > 0, "no frame was lost");
     assert!(r.queries_retried > 0, "no query retried");
@@ -204,8 +241,8 @@ fn every_layer_at_once_is_pinned() {
         .build()
         .expect("valid params");
     for (policy, seed, expected) in [
-        (PolicyKind::Lert, 17, 0x47ea_a0bd_8690_f28b),
-        (PolicyKind::Bnq, 18, 0xafc1_e51b_e518_e272),
+        (PolicyKind::Lert, 17, (0x4e18_b631_82f6_7f41, 60_847)),
+        (PolicyKind::Bnq, 18, (0xcf3b_b259_4cdf_b3ad, 61_981)),
     ] {
         let r = pinned(params.clone(), policy, seed, expected);
         assert!(r.deadline_reallocations > 0, "no deadline reallocation");

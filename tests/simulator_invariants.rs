@@ -3,8 +3,11 @@
 //! the output statistics stay internally consistent. Cases are driven by
 //! the deterministic [`dqa_sim::testkit`] runner.
 
-use dqa_core::model::DbSystem;
-use dqa_core::params::{DiskChoice, SystemParams};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use dqa_core::model::{DbSystem, Event};
+use dqa_core::params::{DeadlineSpec, DiskChoice, FaultSpec, RedundancySpec, SystemParams};
 use dqa_core::policy::PolicyKind;
 use dqa_sim::testkit::{cases, Gen};
 use dqa_sim::{Engine, SimTime};
@@ -170,4 +173,87 @@ fn zero_msg_length_still_delivers_queries() {
     assert!(m.completed() > 100);
     assert!(m.transfers() > 0);
     engine.model().check_invariants();
+}
+
+/// Runs `params` by hand (no statistics reset) to `until` with an
+/// observer counting `CpuDone` deliveries, and checks that each one was
+/// a real departure: the count equals the CPUs' completions. Returns the
+/// engine so the caller can check that its shape's paths fired.
+fn cpu_done_matches_completions(
+    params: SystemParams,
+    policy: PolicyKind,
+    seed: u64,
+    until: f64,
+) -> Engine<DbSystem> {
+    let delivered = Rc::new(Cell::new(0u64));
+    let counter = Rc::clone(&delivered);
+    let system = DbSystem::new(params, policy, seed).expect("valid");
+    let mut engine = Engine::new(system);
+    engine.set_observer(move |_, event| {
+        if matches!(event, Event::CpuDone { .. }) {
+            counter.set(counter.get() + 1);
+        }
+    });
+    DbSystem::prime(&mut engine);
+    engine.run_until(SimTime::new(until));
+    let completions: u64 = engine.model().sites().map(|s| s.cpu.completions()).sum();
+    assert!(completions > 0, "no CPU departure at all");
+    assert_eq!(
+        delivered.get(),
+        completions,
+        "{policy:?}, seed {seed}: CpuDone deliveries that were no departure"
+    );
+    engine
+}
+
+/// Every `CpuDone` the kernel delivers is a real departure: each CPU
+/// state change replaces its site's pending announcement instead of
+/// leaving a superseded one queued. The shapes reach every re-announcing
+/// path: arrivals and departures (paper base), CPU-phase evictions by
+/// deadline expiry and hedge reaps, and crashes that drain the CPU.
+#[test]
+fn every_cpu_done_delivered_is_a_departure() {
+    for policy in [PolicyKind::Lert, PolicyKind::Bnq] {
+        cpu_done_matches_completions(SystemParams::paper_base(), policy, 3, 4_000.0);
+    }
+
+    let evicting = SystemParams::builder()
+        .num_sites(5)
+        .mpl(6)
+        .think_time(70.0)
+        .deadlines(Some(DeadlineSpec {
+            mean: 150.0,
+            floor: 20.0,
+            max_reallocations: 1,
+            ..DeadlineSpec::default()
+        }))
+        .redundancy(Some(RedundancySpec {
+            max_level: 3,
+            hedge_prob: 0.6,
+            load_threshold: 0.0,
+            full_threshold: 1.0,
+        }))
+        .build()
+        .expect("valid params");
+    let engine = cpu_done_matches_completions(evicting, PolicyKind::Lert, 17, 4_000.0);
+    let m = engine.model().metrics();
+    assert!(m.deadline_timeouts() > 0, "no deadline expired");
+    assert!(m.hedge_cancelled() > 0, "no losing attempt was reaped");
+
+    let crashing = SystemParams::builder()
+        .num_sites(4)
+        .mpl(6)
+        .think_time(80.0)
+        .faults(Some(FaultSpec {
+            mtbf: 400.0,
+            mttr: 100.0,
+            ..FaultSpec::default()
+        }))
+        .build()
+        .expect("valid params");
+    let engine = cpu_done_matches_completions(crashing, PolicyKind::Bnq, 5, 4_000.0);
+    assert!(
+        engine.model().metrics().queries_retried() > 0,
+        "no crash caught a resident query"
+    );
 }
